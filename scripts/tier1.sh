@@ -110,7 +110,7 @@ print(f"trace OK: {len(events)} events, all 9 switch steps present")
 EOF
 
 echo
-echo "=== tier-1: sched/soak/fleet/snap/health tests under address,undefined ==="
+echo "=== tier-1: sched/soak/fleet/snap/health/simkernel tests under address,undefined ==="
 # The soak smoke (soak_test, ~10^3 lifetimes, including the
 # agent-crash-churn fleet run), the fleet router tests (fleet_test:
 # cross-fabric migration rollback, master adoption, quota preemption,
@@ -123,10 +123,14 @@ echo "=== tier-1: sched/soak/fleet/snap/health tests under address,undefined ===
 # replay-on-dst moves, agent destroy/reconstruct cycles, and whole-
 # system serialize/reconstruct round-trips are the workloads most
 # likely to surface lifetime bugs the single-scenario sched tests miss.
+# The kernel lockstep tests (simkernel_test) ride along too: fabric wires
+# hold raw reader pointers into feedback pipelines that release()
+# destroys, and a reader left registered is a use-after-free only ASan
+# reports.
 cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
-  fleet_test statedb_test snap_test health_test
-ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health' \
+  fleet_test statedb_test snap_test health_test simkernel_test
+ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health|simkernel' \
   --output-on-failure
 
 echo

@@ -16,7 +16,7 @@ ProducerInterface::ProducerInterface(std::string name, int fifo_capacity,
 
 void ProducerInterface::reset() {
   fifo_.reset();
-  output_ = kIdleFlit;
+  sim::drive(output_, kIdleFlit, output_reader_);
   next_output_ = kIdleFlit;
   pop_pending_ = false;
   wake();
@@ -51,7 +51,7 @@ void ProducerInterface::commit() {
     ++words_sent_;
     pop_pending_ = false;
   }
-  output_ = next_output_;
+  sim::drive(output_, next_output_, output_reader_);
 }
 
 ConsumerInterface::ConsumerInterface(std::string name, int fifo_capacity)
@@ -86,7 +86,7 @@ void ConsumerInterface::configure_backpressure(int hops,
 
 void ConsumerInterface::reset() {
   fifo_.reset();
-  full_feedback_ = false;
+  sim::drive(full_feedback_, false, feedback_reader_);
   next_full_feedback_ = false;
   pending_ = kIdleFlit;
   wake();
@@ -129,7 +129,7 @@ void ConsumerInterface::commit() {
     }
   }
   pending_ = kIdleFlit;
-  full_feedback_ = next_full_feedback_;
+  sim::drive(full_feedback_, next_full_feedback_, feedback_reader_);
 }
 
 }  // namespace vapres::comm

@@ -69,6 +69,9 @@ class ProducerInterface final : public sim::Clocked {
   /// Fabric-side output register (read by the paired switch box's input
   /// register during its eval).
   const Flit* output_signal() const { return &output_; }
+  /// Registers the component sampling output_signal() (the paired box);
+  /// it is woken whenever the output flit changes.
+  void set_output_reader(sim::Clocked* reader) { output_reader_ = reader; }
 
   /// PRSocket FIFO_reset bit.
   void reset();
@@ -103,6 +106,7 @@ class ProducerInterface final : public sim::Clocked {
   const bool* feedback_full_ = nullptr;
   Flit output_{};
   Flit next_output_{};
+  sim::Clocked* output_reader_ = nullptr;
   bool pop_pending_ = false;
   std::uint64_t words_sent_ = 0;
   std::uint64_t stall_cycles_ = 0;
@@ -139,6 +143,9 @@ class ConsumerInterface final : public sim::Clocked {
 
   /// The registered feedback-full output (entry of the feedback pipeline).
   const bool* full_feedback_signal() const { return &full_feedback_; }
+  /// Registers the component sampling full_feedback_signal() (the route's
+  /// feedback pipeline); it is woken whenever the signal flips.
+  void set_feedback_reader(sim::Clocked* reader) { feedback_reader_ = reader; }
 
   void reset();
 
@@ -167,6 +174,7 @@ class ConsumerInterface final : public sim::Clocked {
   BackpressurePolicy policy_ = BackpressurePolicy::kPipelineDepth;
   bool full_feedback_ = false;
   bool next_full_feedback_ = false;
+  sim::Clocked* feedback_reader_ = nullptr;
   Flit pending_{};
   std::uint64_t words_received_ = 0;
   std::uint64_t words_discarded_ = 0;

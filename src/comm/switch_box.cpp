@@ -17,6 +17,7 @@ SwitchBox::SwitchBox(std::string name, SwitchBoxShape shape)
   regs_next_.assign(sources_.size(), kIdleFlit);
   selects_.assign(static_cast<std::size_t>(shape_.num_outputs()), -1);
   outputs_.assign(selects_.size(), kIdleFlit);
+  readers_.assign(selects_.size(), nullptr);
   stuck_.assign(selects_.size(), false);
 }
 
@@ -66,6 +67,11 @@ void SwitchBox::connect_input(int port, const Flit* source) {
 const Flit* SwitchBox::output_signal(int port) const {
   check_output(port);
   return &outputs_[static_cast<std::size_t>(port)];
+}
+
+void SwitchBox::set_output_reader(int port, sim::Clocked* reader) {
+  check_output(port);
+  readers_[static_cast<std::size_t>(port)] = reader;
 }
 
 void SwitchBox::select(int output_port, int input_port) {
@@ -138,8 +144,9 @@ void SwitchBox::commit() {
     }
     if (stuck_[p]) continue;  // output holds its last flit until repaired
     const int sel = selects_[p];
-    outputs_[p] =
-        sel >= 0 ? regs_[static_cast<std::size_t>(sel)] : kIdleFlit;
+    sim::drive(outputs_[p],
+               sel >= 0 ? regs_[static_cast<std::size_t>(sel)] : kIdleFlit,
+               readers_[p]);
   }
 }
 

@@ -58,11 +58,16 @@ class SwitchBox final : public sim::Clocked {
 
   // -- Wiring (done once by the fabric) --------------------------------
   /// Connects input port `port` to read from `source` each cycle. A null
-  /// source reads as idle (array-boundary lanes).
+  /// source reads as idle (array-boundary lanes). The source's writer
+  /// must register this box as its reader, or the box may sleep through
+  /// a change.
   void connect_input(int port, const Flit* source);
 
   /// Signal slot readers attach to (stable for the box's lifetime).
   const Flit* output_signal(int port) const;
+  /// Registers the one component that samples output `port`; it is woken
+  /// whenever the output's flit changes. Null unregisters.
+  void set_output_reader(int port, sim::Clocked* reader);
 
   // -- Runtime configuration (PRSocket MUX_sel bits) --------------------
   /// Routes output `port` from registered input `input_port`; -1 parks the
@@ -85,10 +90,9 @@ class SwitchBox final : public sim::Clocked {
   void eval() override;
   void commit() override;
   /// Input registers already equal their sources and every (non-stuck)
-  /// output already equals its mux selection: further edges are no-ops.
-  /// Only meaningful group-wide — the fabric groups its boxes, feedback
-  /// pipelines, and attached interfaces into one ActivityGroup, so a box
-  /// never sleeps while a neighbour could still push a flit into it.
+  /// output already equals its mux selection: further edges are no-ops
+  /// until a source changes — and every source's writer wakes this box
+  /// when it does (the fabric registers the box as each source's reader).
   bool quiescent() const override;
 
  private:
@@ -104,6 +108,7 @@ class SwitchBox final : public sim::Clocked {
   std::vector<Flit> regs_next_;  ///< registered input ports (next)
   std::vector<int> selects_;     ///< per-output mux select, -1 = parked
   std::vector<Flit> outputs_;    ///< materialized output values
+  std::vector<sim::Clocked*> readers_;  ///< per-output sampler to wake
   std::vector<bool> stuck_;      ///< per-output stuck-fault latch
   int stuck_events_ = 0;
 };

@@ -10,8 +10,9 @@ int RouteSpec::segments() const {
   return std::abs(consumer_box - producer_box);
 }
 
-SwitchFabric::FeedbackPipeline::FeedbackPipeline(const bool* source, int depth)
-    : source_(source) {
+SwitchFabric::FeedbackPipeline::FeedbackPipeline(const bool* source, int depth,
+                                                 sim::Clocked* reader)
+    : source_(source), reader_(reader) {
   VAPRES_REQUIRE(source != nullptr, "feedback pipeline needs a source");
   VAPRES_REQUIRE(depth >= 1, "feedback pipeline depth must be >= 1");
   stages_.assign(static_cast<std::size_t>(depth), false);
@@ -22,7 +23,7 @@ void SwitchFabric::FeedbackPipeline::eval() {
 }
 
 void SwitchFabric::FeedbackPipeline::commit() {
-  output_ = stages_.back();
+  sim::drive(output_, static_cast<bool>(stages_.back()), reader_);
   for (std::size_t i = stages_.size() - 1; i > 0; --i) {
     stages_[i] = stages_[i - 1];
   }
@@ -47,7 +48,6 @@ SwitchFabric::SwitchFabric(sim::ClockDomain& static_domain, int num_boxes,
     boxes_.push_back(std::make_unique<SwitchBox>(
         name_ + ".sw" + std::to_string(i), shape_));
     domain_.attach(boxes_.back().get());
-    group_.add(boxes_.back().get());
   }
   producers_.assign(static_cast<std::size_t>(num_boxes),
                     std::vector<ProducerInterface*>(
@@ -61,12 +61,16 @@ SwitchFabric::SwitchFabric(sim::ClockDomain& static_domain, int num_boxes,
     SwitchBox& left = *boxes_[static_cast<std::size_t>(i)];
     SwitchBox& right = *boxes_[static_cast<std::size_t>(i + 1)];
     for (int lane = 0; lane < shape_.kr; ++lane) {
+      const int out = left.output_right_lane(lane);
       right.connect_input(right.input_right_lane(lane),
-                          left.output_signal(left.output_right_lane(lane)));
+                          left.output_signal(out));
+      left.set_output_reader(out, &right);
     }
     for (int lane = 0; lane < shape_.kl; ++lane) {
+      const int out = right.output_left_lane(lane);
       left.connect_input(left.input_left_lane(lane),
-                         right.output_signal(right.output_left_lane(lane)));
+                         right.output_signal(out));
+      right.set_output_reader(out, &left);
     }
   }
 }
@@ -101,7 +105,7 @@ void SwitchFabric::attach_producer(int box_index, int channel,
   VAPRES_REQUIRE(slot == nullptr, "producer channel already attached");
   slot = prod;
   b.connect_input(b.input_producer(channel), prod->output_signal());
-  group_.add(prod);
+  prod->set_output_reader(&b);
 }
 
 void SwitchFabric::attach_consumer(int box_index, int channel,
@@ -114,7 +118,7 @@ void SwitchFabric::attach_consumer(int box_index, int channel,
   VAPRES_REQUIRE(slot == nullptr, "consumer channel already attached");
   slot = cons;
   cons->set_input_signal(b.output_signal(b.output_consumer(channel)));
-  group_.add(cons);
+  b.set_output_reader(b.output_consumer(channel), cons);
 }
 
 ProducerInterface* SwitchFabric::producer_at(int box_index,
@@ -157,11 +161,11 @@ void SwitchFabric::validate_spec(const RouteSpec& spec) const {
                  "no consumer interface attached at route sink");
 }
 
-void SwitchFabric::claim_output(int box_index, int port,
-                                const std::string& what) {
+void SwitchFabric::claim_output(int box_index, int port) {
   const auto key = std::make_pair(box_index, port);
   VAPRES_REQUIRE(output_owner_.count(key) == 0,
-                 name_ + ": " + what + " already carries an active route");
+                 name_ + ": " + box(box_index).name() +
+                     " already carries an active route");
   // Ownership id is recorded by the caller after all claims succeed; a
   // placeholder marks the claim so later claims in the same call conflict.
   output_owner_[key] = 0;
@@ -205,7 +209,7 @@ RouteId SwitchFabric::establish(const RouteSpec& spec,
   for (const auto& [bi, port] : outputs) {
     // Roll back earlier claims if any claim fails.
     try {
-      claim_output(bi, port, box(bi).name());
+      claim_output(bi, port);
     } catch (...) {
       for (const auto& [ubi, uport] : outputs) {
         if (ubi == bi && uport == port) break;
@@ -251,10 +255,10 @@ RouteId SwitchFabric::establish(const RouteSpec& spec,
   route.producer = producer_at(spec.producer_box, spec.producer_channel);
   route.consumer = consumer;
   route.feedback = std::make_unique<FeedbackPipeline>(
-      route.consumer->full_feedback_signal(), spec.hops());
+      route.consumer->full_feedback_signal(), spec.hops(), route.producer);
+  route.consumer->set_feedback_reader(route.feedback.get());
   route.producer->set_feedback_full_source(route.feedback->output_signal());
   domain_.attach(route.feedback.get());
-  group_.add(route.feedback.get());
 
   const RouteId id = next_route_id_++;
   for (const auto& key : outputs) output_owner_[key] = id;
@@ -271,6 +275,7 @@ void SwitchFabric::release(RouteId id) {
     output_owner_.erase(std::make_pair(bi, port));
   }
   route.producer->set_feedback_full_source(nullptr);
+  route.consumer->set_feedback_reader(nullptr);
   domain_.detach(route.feedback.get());
   routes_.erase(it);
 }

@@ -94,7 +94,9 @@ class SwitchFabric {
   /// producer with one register per traversed switch box.
   class FeedbackPipeline final : public sim::Clocked {
    public:
-    FeedbackPipeline(const bool* source, int depth);
+    /// Shifts `source` towards `reader`, which is woken whenever the
+    /// output flips.
+    FeedbackPipeline(const bool* source, int depth, sim::Clocked* reader);
     const bool* output_signal() const { return &output_; }
     void eval() override;
     void commit() override;
@@ -107,6 +109,7 @@ class SwitchFabric {
     friend class ::vapres::snap::SystemSnapshot;
 
     const bool* source_;
+    sim::Clocked* reader_;
     std::vector<bool> stages_;
     bool output_ = false;
   };
@@ -121,23 +124,20 @@ class SwitchFabric {
   };
 
   void validate_spec(const RouteSpec& spec) const;
-  void claim_output(int box_index, int port, const std::string& what);
+  void claim_output(int box_index, int port);
 
   sim::ClockDomain& domain_;
   std::string name_;
   SwitchBoxShape shape_;
-  // The fabric is pull-model wiring over raw flit pointers: a box has no
-  // way to notify its neighbour when a flit enters a lane. Activity is
-  // therefore tracked fabric-wide: boxes, feedback pipelines, and the
-  // attached producer/consumer interfaces share one ActivityGroup that
-  // sleeps all-or-nothing. Declared before the Clocked members it tracks
-  // so it outlives them (their destructors deregister from it).
-  sim::ActivityGroup group_;
+  // Every wire between fabric components (lane, consumer channel,
+  // producer output, feedback-full, pipeline output) is sampled by raw
+  // pointer, so each has exactly one registered reader that its writer
+  // wakes on change; boxes, interfaces and pipelines sleep one by one.
   std::vector<std::unique_ptr<SwitchBox>> boxes_;
   // attachment tables: [box][channel]
   std::vector<std::vector<ProducerInterface*>> producers_;
   std::vector<std::vector<ConsumerInterface*>> consumers_;
-  // output-port occupancy: key = box * 1000 + port -> owning route
+  // output-port occupancy: (box index, output port) -> owning route
   std::map<std::pair<int, int>, RouteId> output_owner_;
   std::map<RouteId, ActiveRoute> routes_;
   RouteId next_route_id_ = 1;

@@ -123,7 +123,7 @@ const char* event_name(Subsystem s, std::uint16_t code) {
   return "event?";
 }
 
-EventBus::EventBus() : ring_(kDefaultCapacity) {
+EventBus::EventBus() {
   tracks_.push_back("main");
   track_ids_["main"] = 0;
 }
@@ -136,10 +136,8 @@ EventBus& EventBus::instance() {
 void EventBus::enable(std::uint32_t subsystem_mask, std::size_t capacity) {
   VAPRES_REQUIRE(capacity >= 2, "event ring needs at least 2 slots");
   mask_ = subsystem_mask;
-  const std::size_t cap = round_up_pow2(capacity);
-  if (cap != ring_.size()) {
-    ring_.assign(cap, Event{});
-  }
+  capacity_ = round_up_pow2(capacity);
+  if (ring_.size() != capacity_) ring_.assign(capacity_, Event{});
   head_ = 0;
 }
 
@@ -154,11 +152,11 @@ std::uint32_t EventBus::track(const std::string& name) {
 
 std::size_t EventBus::size() const {
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(head_, ring_.size()));
+      std::min<std::uint64_t>(head_, capacity_));
 }
 
 std::uint64_t EventBus::dropped() const {
-  return head_ > ring_.size() ? head_ - ring_.size() : 0;
+  return head_ > capacity_ ? head_ - capacity_ : 0;
 }
 
 std::vector<Event> EventBus::snapshot() const {

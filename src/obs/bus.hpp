@@ -85,7 +85,7 @@ class EventBus {
   /// Events currently retained (<= capacity), oldest first.
   std::vector<Event> snapshot() const;
   std::size_t size() const;
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Oldest records overwritten because the ring was full.
   std::uint64_t dropped() const;
   /// Lifetime records accepted (retained + dropped).
@@ -110,6 +110,9 @@ class EventBus {
   }
 
   std::uint32_t mask_ = 0;
+  /// Ring size in events. The ring itself is allocated by the first
+  /// enable(), so a process that never traces pays nothing for it.
+  std::size_t capacity_ = kDefaultCapacity;
   std::vector<Event> ring_;
   std::uint64_t head_ = 0;  ///< monotonic write cursor
   std::vector<std::string> tracks_;

@@ -14,70 +14,15 @@ namespace {
 // semantically invisible (skipping is only an optimization), so the sweep
 // is amortized instead of run per tick.
 constexpr Cycles kPollInterval = 8;
-
-// Distinct epoch per poll sweep, so ActivityGroup memoization never mixes
-// sweeps. The simulation is single-threaded.
-std::uint64_t g_poll_epoch = 0;
 }  // namespace
 
 Clocked::~Clocked() {
-  if (group_ != nullptr) group_->remove(this);
   if (domain_ != nullptr) domain_->detach(this);
 }
 
-void Clocked::wake() {
-  if (group_ != nullptr) {
-    group_->wake_all();
-    return;
-  }
-  activate();
-}
-
 void Clocked::activate() {
-  if (active_) return;
   active_ = true;
   if (domain_ != nullptr) domain_->note_wake(this);
-}
-
-ActivityGroup::~ActivityGroup() {
-  for (Clocked* c : members_) c->group_ = nullptr;
-}
-
-void ActivityGroup::add(Clocked* c) {
-  VAPRES_REQUIRE(c != nullptr, "cannot group a null component");
-  VAPRES_REQUIRE(c->group_ == nullptr || c->group_ == this,
-                 c->name() + ": already in another activity group");
-  if (c->group_ == this) return;
-  c->group_ = this;
-  members_.push_back(c);
-  // A new member may be mid-work; don't let a stale memo park it.
-  memo_epoch_ = 0;
-  c->wake();
-}
-
-void ActivityGroup::remove(Clocked* c) {
-  auto it = std::find(members_.begin(), members_.end(), c);
-  if (it == members_.end()) return;
-  members_.erase(it);
-  c->group_ = nullptr;
-  memo_epoch_ = 0;
-}
-
-bool ActivityGroup::quiescent(std::uint64_t epoch) {
-  if (epoch != 0 && epoch == memo_epoch_) return memo_quiescent_;
-  memo_epoch_ = epoch;
-  memo_quiescent_ = true;
-  for (Clocked* c : members_) {
-    if (!c->quiescent()) {
-      memo_quiescent_ = false;
-      break;
-    }
-  }
-  return memo_quiescent_;
-}
-
-void ActivityGroup::wake_all() {
-  for (Clocked* c : members_) c->activate();
 }
 
 ClockDomain::ClockDomain(std::string name, double frequency_mhz)
@@ -294,11 +239,9 @@ void ClockDomain::tick() {
 
 void ClockDomain::poll_quiescence() {
   if (active_count_ == 0) return;
-  const std::uint64_t epoch = ++g_poll_epoch;
   auto stays_awake = [&](Clocked* c) {
     if (c == nullptr || !c->active_) return false;
     if (!c->quiescent()) return true;
-    if (c->group_ != nullptr && !c->group_->quiescent(epoch)) return true;
     c->active_ = false;
     --active_count_;
     return false;

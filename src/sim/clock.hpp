@@ -128,8 +128,8 @@ class ClockDomain {
   /// Whether every component must be ticked regardless of activity flags.
   bool exhaustive() const;
 
-  /// Post-tick sweep: deactivates components whose quiescent() report (or
-  /// whole ActivityGroup) allows sleeping.
+  /// Post-tick sweep: deactivates components whose quiescent() report
+  /// allows sleeping.
   void poll_quiescence();
 
   void note_wake(Clocked* component);

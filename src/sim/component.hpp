@@ -12,17 +12,16 @@
 // of its inputs changes, every further eval()/commit() pair is a state
 // no-op with unchanged outputs — so the kernel is free to stop delivering
 // edges to it. Whatever changes such an input (a FIFO push/pop, a PRSocket
-// bit, a mux select) must call wake() on the affected component. The
-// default (never quiescent) keeps unaware components on every edge.
+// bit, a mux select, a raw-pointer wire written through drive()) must call
+// wake() on the affected component. The default (never quiescent) keeps
+// unaware components on every edge.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 namespace vapres::sim {
 
-class ActivityGroup;
 class ClockDomain;
 
 class Clocked {
@@ -41,10 +40,11 @@ class Clocked {
   /// wake() is called. The default keeps the component on every edge.
   virtual bool quiescent() const { return false; }
 
-  /// Re-arms edge delivery for this component — and, when it belongs to an
-  /// ActivityGroup, for the whole group. Must be called by anything that
-  /// changes an input the component reacts to. Safe before attach.
-  void wake();
+  /// Re-arms edge delivery for this component. Must be called by anything
+  /// that changes an input the component reacts to. Safe before attach.
+  void wake() {
+    if (!active_) activate();
+  }
 
   /// Whether the kernel currently delivers edges to this component.
   bool awake() const { return active_; }
@@ -53,50 +53,27 @@ class Clocked {
   virtual std::string name() const { return "<clocked>"; }
 
  private:
-  friend class ActivityGroup;
   friend class ClockDomain;
 
-  /// Reactivates just this component (group-unaware half of wake()).
   void activate();
 
   ClockDomain* domain_ = nullptr;
-  ActivityGroup* group_ = nullptr;
   bool active_ = true;
   // Index of this component's slot in its domain's component list, kept
   // current whenever the domain's awake-index cache is valid.
   std::size_t slot_ = 0;
 };
 
-/// Components whose quiescence is only meaningful collectively. The switch
-/// fabric's flit wiring is pull-based (raw `const Flit*` reads with no
-/// subscription), so one box going idle says nothing while a neighbour may
-/// still push a flit into it without any hook firing. Grouped components
-/// therefore sleep all-or-nothing: the kernel deactivates a member only
-/// when every member reports quiescent, and wake() on any member re-arms
-/// them all.
-class ActivityGroup {
- public:
-  ActivityGroup() = default;
-  ActivityGroup(const ActivityGroup&) = delete;
-  ActivityGroup& operator=(const ActivityGroup&) = delete;
-  ~ActivityGroup();
-
-  /// Registers `c` (not owned). Members remove themselves on destruction.
-  void add(Clocked* c);
-  void remove(Clocked* c);
-
-  /// True when every member reports quiescent. Memoized per poll `epoch`
-  /// so a domain's post-tick sweep evaluates each group once, not once
-  /// per member.
-  bool quiescent(std::uint64_t epoch);
-
-  /// Reactivates every member.
-  void wake_all();
-
- private:
-  std::vector<Clocked*> members_;
-  std::uint64_t memo_epoch_ = 0;
-  bool memo_quiescent_ = false;
-};
+/// Latches `next` into `wire`, a signal another component samples by raw
+/// pointer, and wakes `reader` (the wire's one registered sampler) when
+/// the value changes. Every write to such a wire goes through here —
+/// including writes outside commit() such as resets — so a sleeping
+/// reader never misses a change.
+template <typename T>
+void drive(T& wire, const T& next, Clocked* reader) {
+  if (wire == next) return;
+  wire = next;
+  if (reader != nullptr) reader->wake();
+}
 
 }  // namespace vapres::sim
