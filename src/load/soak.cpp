@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
 #include "obs/health/flight.hpp"
 #include "obs/metrics.hpp"
@@ -111,6 +113,44 @@ SoakResult run_soak(const SoakOptions& opt) {
   // Departure schedule (see below); restored from a resume blob.
   std::multimap<sim::Cycles, int> departures;
 
+  // The harness cursors of a checkpoint blob's "soakharness" section, in
+  // blob order: one field list for checkpoint (SnapshotWriter) and resume
+  // (SnapshotReader), wrapping the system+scheduler snapshot.
+  auto harness_fields = [&](auto& ar, std::string& sys_blob) {
+    constexpr bool kLoading = std::decay_t<decltype(ar)>::kLoading;
+    ScenarioGenerator::State gs = gen.state();
+    ar.u64(gs.rng);
+    ar.u64(gs.side_rng);
+    ar.u64(gs.phase);
+    ar.u64(gs.emitted_in_phase);
+    ar.u64(gs.sequence);
+    ar.f64(gs.clock);
+    ar.u64(gs.burst_left);
+    ar.u64(gs.quiet_left);
+    if constexpr (kLoading) gen.set_state(gs);
+    ar.u64(res.digest);
+    ar.u64(res.churn_stops);
+    ar.i64(conservation_watermark);
+    ar.boolean(storm_on);
+    ar.u64(last_phase);
+    MonotoneClockCheck::State cs = clock_check.state();
+    ar.u64(cs.last_ps);
+    ar.u64(cs.last_cycle);
+    ar.boolean(cs.seen);
+    if constexpr (kLoading) clock_check.set_state(cs);
+    ar.u64(res.invariants.checks_run);
+    ar.list(res.invariants.violations, 4, [&](auto& v) { ar.str(v); });
+    ar.entries(departures, 16, [&](auto& at, auto& id) {
+      ar.u64(at);
+      ar.i64(id);
+    });
+    std::vector<int> armed(gap_armed.begin(), gap_armed.end());
+    std::sort(armed.begin(), armed.end());
+    ar.list(armed, 8, [&](auto& id) { ar.i64(id); });
+    if constexpr (kLoading) gap_armed.insert(armed.begin(), armed.end());
+    ar.str(sys_blob);
+  };
+
   std::unique_ptr<core::VapresSystem> sys_owner;
   std::unique_ptr<sched::ApplicationScheduler> sched_owner;
   if (!opt.resume_from.empty()) {
@@ -120,41 +160,8 @@ SoakResult run_soak(const SoakOptions& opt) {
     // stream and the run digest continue exactly where they stopped.
     const snap::SnapshotReader r(opt.resume_from);
     r.open_section("soakharness");
-    ScenarioGenerator::State gs;
-    gs.rng = r.u64();
-    gs.side_rng = r.u64();
-    gs.phase = r.u64();
-    gs.emitted_in_phase = r.u64();
-    gs.sequence = r.u64();
-    gs.clock = r.f64();
-    gs.burst_left = r.u64();
-    gs.quiet_left = r.u64();
-    gen.set_state(gs);
-    res.digest = r.u64();
-    res.churn_stops = r.u64();
-    conservation_watermark = static_cast<int>(r.i64());
-    storm_on = r.boolean();
-    last_phase = static_cast<std::size_t>(r.u64());
-    MonotoneClockCheck::State cs;
-    cs.last_ps = r.u64();
-    cs.last_cycle = r.u64();
-    cs.seen = r.boolean();
-    clock_check.set_state(cs);
-    res.invariants.checks_run = r.u64();
-    const std::uint32_t n_violations = r.u32();
-    for (std::uint32_t i = 0; i < n_violations; ++i) {
-      res.invariants.violations.push_back(r.str());
-    }
-    const std::uint32_t n_departures = r.u32();
-    for (std::uint32_t i = 0; i < n_departures; ++i) {
-      const sim::Cycles at = r.u64();
-      departures.emplace(at, static_cast<int>(r.i64()));
-    }
-    const std::uint32_t n_armed = r.u32();
-    for (std::uint32_t i = 0; i < n_armed; ++i) {
-      gap_armed.insert(static_cast<int>(r.i64()));
-    }
-    const std::string sys_blob = r.str();
+    std::string sys_blob;
+    harness_fields(r, sys_blob);
     sys_owner = snap::SystemSnapshot::restore_system(sys_blob,
                                                      server_params());
     sched_owner =
@@ -222,41 +229,11 @@ SoakResult run_soak(const SoakOptions& opt) {
     while (sys.prefetch().pending() > 0 || sys.prefetch().staging()) {
       sys.run_system_cycles(64);
     }
-    const std::string sys_blob =
+    std::string sys_blob =
         snap::SystemSnapshot::save(sys, processed, &sched);
     snap::SnapshotWriter w(processed);
     w.begin_section("soakharness");
-    const ScenarioGenerator::State gs = gen.state();
-    w.u64(gs.rng);
-    w.u64(gs.side_rng);
-    w.u64(gs.phase);
-    w.u64(gs.emitted_in_phase);
-    w.u64(gs.sequence);
-    w.f64(gs.clock);
-    w.u64(gs.burst_left);
-    w.u64(gs.quiet_left);
-    w.u64(res.digest);
-    w.u64(res.churn_stops);
-    w.i64(conservation_watermark);
-    w.boolean(storm_on);
-    w.u64(static_cast<std::uint64_t>(last_phase));
-    const MonotoneClockCheck::State cs = clock_check.state();
-    w.u64(cs.last_ps);
-    w.u64(cs.last_cycle);
-    w.boolean(cs.seen);
-    w.u64(res.invariants.checks_run);
-    w.u32(static_cast<std::uint32_t>(res.invariants.violations.size()));
-    for (const std::string& v : res.invariants.violations) w.str(v);
-    w.u32(static_cast<std::uint32_t>(departures.size()));
-    for (const auto& [at, id] : departures) {
-      w.u64(at);
-      w.i64(id);
-    }
-    std::vector<int> armed(gap_armed.begin(), gap_armed.end());
-    std::sort(armed.begin(), armed.end());
-    w.u32(static_cast<std::uint32_t>(armed.size()));
-    for (const int id : armed) w.i64(id);
-    w.str(sys_blob);
+    harness_fields(w, sys_blob);
     w.end_section();
     std::string blob = w.finish();
     ++res.snapshots_taken;

@@ -206,9 +206,16 @@ std::int64_t SnapshotReader::i64() const {
 
 double SnapshotReader::f64() const { return std::bit_cast<double>(u64()); }
 
+std::uint32_t SnapshotReader::count(std::size_t min_bytes) const {
+  const std::uint32_t n = u32();
+  VAPRES_REQUIRE(static_cast<std::uint64_t>(n) * min_bytes <= remaining(),
+                 "snapshot list count " + std::to_string(n) +
+                     " overruns its section");
+  return n;
+}
+
 std::string SnapshotReader::str() const {
-  const std::uint32_t len = u32();
-  need(len);
+  const std::uint32_t len = count(1);
   std::string s = blob_.substr(cursor_, len);
   cursor_ += len;
   return s;

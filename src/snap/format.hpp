@@ -9,13 +9,21 @@
 // patterns — two snapshots of identical system state are byte-identical.
 //
 // SnapshotWriter builds sections in order; SnapshotReader indexes them by
-// name and hands out bounded cursors. Readers and writers are dumb about
-// content — the schema of each section is owned by snap::SystemSnapshot
-// (and by the soak / fleet checkpoint code for their own sections).
+// name and hands out bounded cursors. Both offer the same by-reference
+// field calls (u8, u32, u64, i64, f64, boolean, str, words, list,
+// entries), so a section's schema is one field list, written once as a
+// template over the archive: save runs it with a writer, restore with a
+// reader, and the two directions cannot drift apart. `kLoading` tells
+// the list which way it runs, where restore must apply a value through
+// a setter rather than assign it. The system's field lists live in
+// snap::SystemSnapshot, the soak checkpoint's in load/soak.cpp.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vapres::snap {
@@ -38,13 +46,44 @@ class SnapshotWriter {
   void begin_section(const std::string& name);
   void end_section();
 
+  /// A field list branches on this where restore must apply a value
+  /// through a setter (true on SnapshotReader).
+  static constexpr bool kLoading = false;
+
   void u8(std::uint8_t v);
+  template <class E>
+    requires std::is_enum_v<E>
+  void u8(E v) {
+    u8(static_cast<std::uint8_t>(v));
+  }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
   void f64(double v);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s);
+
+  /// Element count of the list that follows (a u32).
+  void count(std::size_t n) { u32(static_cast<std::uint32_t>(n)); }
+  /// Count-prefixed 32-bit words (any container of std::uint32_t).
+  template <class Words>
+  void words(const Words& v) {
+    count(v.size());
+    for (const std::uint32_t x : v) u32(x);
+  }
+  /// Count-prefixed list; `field(element)` writes one element.
+  /// `min_bytes` only matters to the reader (see SnapshotReader::count).
+  template <class Seq, class Fn>
+  void list(const Seq& seq, std::size_t /*min_bytes*/, Fn&& field) {
+    count(seq.size());
+    for (const auto& e : seq) field(e);
+  }
+  /// Count-prefixed map; `field(key, value)` writes one entry.
+  template <class Map, class Fn>
+  void entries(const Map& map, std::size_t /*min_bytes*/, Fn&& field) {
+    count(map.size());
+    for (const auto& [k, v] : map) field(k, v);
+  }
 
   std::uint64_t epoch() const { return epoch_; }
 
@@ -78,6 +117,9 @@ class SnapshotReader {
   /// Bytes left in the currently open section.
   std::size_t remaining() const;
 
+  /// See SnapshotWriter::kLoading.
+  static constexpr bool kLoading = true;
+
   std::uint8_t u8() const;
   std::uint32_t u32() const;
   std::uint64_t u64() const;
@@ -85,6 +127,56 @@ class SnapshotReader {
   double f64() const;
   bool boolean() const { return u8() != 0; }
   std::string str() const;
+
+  // By-reference forms, mirroring SnapshotWriter's field calls.
+  void u8(std::uint8_t& v) const { v = u8(); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void u8(E& v) const {
+    v = static_cast<E>(u8());
+  }
+  void u32(std::uint32_t& v) const { v = u32(); }
+  template <std::integral T>
+  void u64(T& v) const {
+    v = static_cast<T>(u64());
+  }
+  template <std::integral T>
+  void i64(T& v) const {
+    v = static_cast<T>(i64());
+  }
+  void f64(double& v) const { v = f64(); }
+  void boolean(bool& v) const { v = boolean(); }
+  void boolean(std::vector<bool>::reference v) const { v = boolean(); }
+  void str(std::string& s) const { s = str(); }
+
+  /// Reads a list's element count and refuses it (ModelError) unless
+  /// `count * min_bytes` fits in the rest of the section, so a corrupt
+  /// count can neither allocate nor loop past the payload. `min_bytes`
+  /// is a lower bound on one element's encoded size (>= 1).
+  std::uint32_t count(std::size_t min_bytes) const;
+  template <class Words>
+  void words(Words& v) const {
+    v.resize(count(4));
+    for (auto& x : v) x = u32();
+  }
+  template <class Seq, class Fn>
+  void list(Seq& seq, std::size_t min_bytes, Fn&& field) const {
+    seq.clear();
+    seq.resize(count(min_bytes));
+    for (auto&& e : seq) field(e);
+  }
+  /// Replaces `map` with the blob's entries.
+  template <class Map, class Fn>
+  void entries(Map& map, std::size_t min_bytes, Fn&& field) const {
+    map.clear();
+    const std::uint32_t n = count(min_bytes);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      typename Map::key_type k{};
+      typename Map::mapped_type v{};
+      field(k, v);
+      map.emplace(std::move(k), std::move(v));
+    }
+  }
 
  private:
   struct Section {

@@ -1,9 +1,12 @@
 #include "snap/system_snapshot.hpp"
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,7 +43,760 @@ std::uint16_t step_code_for(core::ModuleSwitcher::State s) {
   }
 }
 
+// Encoded sizes for the reader's list-count bound (SnapshotReader::count):
+// an empty string or list is its 4-byte length.
+constexpr std::size_t kStr = 4;
+constexpr std::size_t kList = 4;
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Field lists: one template per component, run over a SnapshotWriter by
+// save() and over a SnapshotReader by the restore paths. A nested member
+// of SystemSnapshot, so the components' friend declarations cover it.
+// ---------------------------------------------------------------------------
+
+struct SystemSnapshot::Fields {
+  /// The component as a field list sees it: const when saving.
+  template <class Ar, class T>
+  using Ref = std::conditional_t<Ar::kLoading, T, const T>&;
+
+  /// Writes `live`; restore requires the blob to carry the same value
+  /// (construction parameters and fixed element counts).
+  template <class Ar, class T>
+  static void same(Ar& ar, const T& live, const char* what) {
+    T v = live;
+    if constexpr (std::is_same_v<T, std::string>) {
+      ar.str(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      ar.f64(v);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      ar.u32(v);
+    } else {
+      ar.i64(v);
+    }
+    VAPRES_REQUIRE(v == live, std::string("restore: ") + what + " mismatch");
+  }
+  template <class Ar>
+  static void same_count(Ar& ar, std::size_t live, const char* what) {
+    same(ar, static_cast<std::uint32_t>(live), what);
+  }
+
+  // ---- meta: the construction fingerprint a restore must match.
+  template <class Ar>
+  static void meta(Ar& ar, const core::VapresSystem& sys) {
+    const core::SystemParams& p = sys.params_;
+    same(ar, p.name, "system name");
+    same(ar, p.device.name(), "device");
+    same(ar, p.system_clock_mhz, "system clock");
+    same(ar, p.prr_clock_a_mhz, "PRR clock A");
+    same(ar, p.prr_clock_b_mhz, "PRR clock B");
+    same(ar, p.sdram_bytes, "SDRAM capacity");
+    same_count(ar, p.rsbs.size(), "RSB count");
+    for (const core::RsbParams& r : p.rsbs) {
+      for (const int v : {r.num_prrs, r.num_ioms, r.width_bits, r.kr, r.kl,
+                          r.ki, r.ko, r.fifo_depth, r.prr_height_clbs,
+                          r.prr_width_clbs}) {
+        same(ar, v, "RSB parameter");
+      }
+    }
+    std::vector<fabric::ClbRect> floorplan = sys.floorplan_;
+    ar.list(floorplan, 4 * 8, [&](auto& r) { rect(ar, r); });
+    VAPRES_REQUIRE(floorplan == sys.floorplan_,
+                   "restore: PRR floorplan mismatch");
+  }
+
+  template <class Ar>
+  static void rect(Ar& ar, Ref<Ar, fabric::ClbRect> r) {
+    ar.i64(r.row);
+    ar.i64(r.col);
+    ar.i64(r.height);
+    ar.i64(r.width);
+  }
+
+  // ---- sim: kernel mode, global time, per-domain clock state.
+  // KernelStats are deliberately excluded: restore wakes every component,
+  // so edge-delivery accounting diverges while architectural state does
+  // not (the quiescent() contract guarantees the extra edges are no-ops).
+
+  /// Leads the section: restore applies the mode before the structural
+  /// overlay and re-reads the whole section (clocks()) after it.
+  template <class Ar>
+  static void kernel_mode(Ar& ar, Ref<Ar, sim::Simulator> s) {
+    bool activity_driven = s.activity_driven_;
+    ar.boolean(activity_driven);
+    if constexpr (Ar::kLoading) s.set_activity_driven(activity_driven);
+  }
+
+  template <class Ar>
+  static void clocks(Ar& ar, Ref<Ar, sim::Simulator> s) {
+    kernel_mode(ar, s);
+    ar.u64(s.now_);
+    same_count(ar, s.domains().size(), "clock-domain count");
+    for (const auto& d : s.domains()) {
+      same(ar, d->name_, "clock-domain order");
+      ar.u64(d->period_ps_);
+      ar.boolean(d->enabled_);
+      ar.u64(d->cycle_count_);
+      ar.u64(d->anchor_ps_);
+    }
+  }
+
+  // ---- mb: busy-span machinery and lifetime counters.
+  template <class Ar>
+  static void microblaze(Ar& ar, Ref<Ar, proc::Microblaze> mb,
+                         Ref<Ar, sim::Simulator> s) {
+    ar.u64(mb.busy_pending_);
+    ar.boolean(mb.busy_anchored_);
+    ar.u64(mb.busy_last_cycle_);
+    // Absolute remaining delay: at restore "now" need not be edge-aligned,
+    // so re-arming through arm_busy_wake() would misplace the expiry edge.
+    bool wake_armed = mb.busy_wake_.has_value();
+    std::uint64_t wake_delay = 0;
+    if (wake_armed && !s.events_.empty()) {
+      wake_delay = s.events_.next_time() - s.now_;
+    }
+    ar.boolean(wake_armed);
+    ar.u64(wake_delay);
+    ar.u64(mb.total_busy_cycles_);
+    ar.u64(mb.interrupts_serviced_);
+    if constexpr (Ar::kLoading) {
+      if (wake_armed) {
+        proc::Microblaze* m = &mb;
+        mb.busy_wake_ = s.schedule_after(wake_delay, [m] {
+          m->busy_wake_.reset();
+          m->wake();
+        });
+        mb.busy_wake_cycle_ = mb.busy_last_cycle_;
+      }
+    }
+  }
+
+  // ---- dcr / icap / reconfig.
+  template <class Ar>
+  static void dcr(Ar& ar, Ref<Ar, comm::DcrBus> bus) {
+    ar.u64(bus.accesses_);
+  }
+
+  template <class Ar>
+  static void icap(Ar& ar, Ref<Ar, fabric::IcapPort> port) {
+    same(ar, port.port_clock_mhz_, "ICAP port clock");
+    ar.i64(port.total_bytes_);
+    ar.i64(port.transfers_);
+    ar.i64(port.corrupted_);
+    ar.i64(port.timed_out_);
+  }
+
+  template <class Ar>
+  static void reconfig(Ar& ar, Ref<Ar, core::ReconfigManager> rc) {
+    ar.boolean(rc.verify_);
+    ar.i64(rc.policy_.max_attempts);
+    ar.u64(rc.policy_.backoff_base_cycles);
+    ar.boolean(rc.policy_.fallback_to_cf);
+    ar.f64(rc.last_.storage_cycles);
+    ar.f64(rc.last_.icap_cycles);
+    ar.i64(rc.completed_);
+    ar.i64(rc.retries_);
+    ar.i64(rc.fallbacks_);
+    ar.i64(rc.failures_);
+  }
+
+  // ---- storage: CF files and SDRAM arrays (list order = deterministic),
+  // replayed into the fresh stores through their public API.
+  template <class Ar>
+  static void partial_bitstream(Ar& ar,
+                                Ref<Ar, bitstream::PartialBitstream> bs) {
+    ar.str(bs.module_id);
+    ar.str(bs.target_prr);
+    rect(ar, bs.region);
+    ar.i64(bs.size_bytes);
+    ar.u32(bs.tag);
+  }
+
+  template <class Ar, class Store>
+  static void stored_bitstreams(Ar& ar, Store& store) {
+    std::vector<std::string> names;
+    if constexpr (!Ar::kLoading) names = store.list();
+    ar.list(names, kStr + 2 * kStr + 5 * 8 + 4, [&](auto& name) {
+      ar.str(name);
+      bitstream::PartialBitstream bs;
+      if constexpr (!Ar::kLoading) bs = store.read(name);
+      partial_bitstream(ar, bs);
+      if constexpr (Ar::kLoading) store.store(name, bs);
+    });
+  }
+
+  template <class Ar>
+  static void storage(Ar& ar, core::VapresSystem& sys) {
+    stored_bitstreams(ar, sys.cf_);
+    stored_bitstreams(ar, *sys.sdram_);
+  }
+
+  // ---- bitman: cache residency metadata and predictor tables.
+  template <class Ar>
+  static void bitman_cache(Ar& ar, Ref<Ar, bitman::BitstreamManager> bm) {
+    ar.boolean(bm.opt_.stage_on_miss);
+    ar.i64(bm.opt_.stream_chunk_bytes);
+    ar.boolean(bm.opt_.predict_next);
+    auto& st = bm.stats_;
+    ar.u64(st.hits);
+    ar.u64(st.misses);
+    ar.u64(st.streamed_misses);
+    ar.u64(st.evictions);
+    ar.i64(st.evicted_bytes);
+    ar.u64(st.staged);
+    ar.u64(st.replaced);
+    ar.u64(st.invalidations);
+    ar.u64(st.prefetch_issued);
+    ar.u64(st.prefetch_completed);
+    ar.u64(st.prefetch_cancelled);
+    ar.u64(st.prefetch_useful);
+    ar.u64(bm.use_tick_);
+    ar.entries(bm.entries_, kStr + 8 + 1 + 1, [&](auto& key, auto& e) {
+      ar.str(key);
+      ar.u64(e.last_use);
+      ar.boolean(e.prefetched);
+      ar.boolean(e.demand_hit_seen);
+    });
+    ar.entries(bm.last_module_, 2 * kStr, [&](auto& prr, auto& mod) {
+      ar.str(prr);
+      ar.str(mod);
+    });
+    ar.entries(bm.next_after_, kStr + kList, [&](auto& prr, auto& table) {
+      ar.str(prr);
+      ar.entries(table, 2 * kStr, [&](auto& last, auto& next) {
+        ar.str(last);
+        ar.str(next);
+      });
+    });
+  }
+
+  // ---- per-RSB fabric state: boxes, IOMs, PRRs, channels.
+  template <class Ar>
+  static void flit(Ar& ar, Ref<Ar, comm::Flit> f) {
+    ar.u32(f.data);
+    ar.boolean(f.valid);
+  }
+
+  template <class Ar>
+  static void fifo(Ar& ar, Ref<Ar, comm::Fifo> f) {
+    ar.words(f.words_);
+    ar.u64(f.pushed_);
+    ar.u64(f.popped_);
+    ar.u64(f.fault_dropped_);
+    ar.u64(f.fault_duplicated_);
+    ar.i64(f.high_watermark_);
+  }
+
+  template <class Ar>
+  static void fsl(Ar& ar, Ref<Ar, comm::FslLink> l) {
+    fifo(ar, l.fifo_);
+  }
+
+  template <class Ar>
+  static void producer(Ar& ar, Ref<Ar, comm::ProducerInterface> p) {
+    fifo(ar, p.fifo_);
+    ar.boolean(p.read_enable_);
+    flit(ar, p.output_);
+    flit(ar, p.next_output_);
+    ar.boolean(p.pop_pending_);
+    ar.u64(p.words_sent_);
+    ar.u64(p.stall_cycles_);
+  }
+
+  template <class Ar>
+  static void consumer(Ar& ar, Ref<Ar, comm::ConsumerInterface> c) {
+    fifo(ar, c.fifo_);
+    ar.boolean(c.write_enable_);
+    ar.i64(c.hops_);
+    ar.u8(c.policy_);
+    ar.boolean(c.full_feedback_);
+    ar.boolean(c.next_full_feedback_);
+    flit(ar, c.pending_);
+    ar.u64(c.words_received_);
+    ar.u64(c.words_discarded_);
+  }
+
+  /// Switch boxes: input registers, mux selects, outputs, stuck latches.
+  /// They lead the RSB section, and restore reads them twice: route
+  /// programming after the first pass rewrites mux selects, and the
+  /// second pass (after the channels) puts the saved state back.
+  template <class Ar>
+  static void boxes(Ar& ar, comm::SwitchFabric& fab) {
+    same_count(ar, fab.num_boxes(), "switch-box count");
+    for (int b = 0; b < fab.num_boxes(); ++b) {
+      Ref<Ar, comm::SwitchBox> box = fab.box(b);
+      for (std::size_t i = 0; i < box.regs_.size(); ++i) {
+        flit(ar, box.regs_[i]);
+        flit(ar, box.regs_next_[i]);
+      }
+      for (std::size_t o = 0; o < box.outputs_.size(); ++o) {
+        ar.i64(box.selects_[o]);
+        VAPRES_REQUIRE(box.selects_[o] >= -1 &&
+                           box.selects_[o] < static_cast<int>(box.regs_.size()),
+                       "restore: switch-box select out of range");
+        flit(ar, box.outputs_[o]);
+        ar.boolean(box.stuck_[o]);
+      }
+      ar.i64(box.stuck_events_);
+    }
+  }
+
+  /// A socket register restores through its DCR slave write (not via
+  /// the bus, so DcrBus::accesses_ stays flat).
+  template <class Ar, class Slave>
+  static void dcr_register(Ar& ar, Slave& slave, std::uint32_t live) {
+    ar.u32(live);
+    if constexpr (Ar::kLoading) slave.dcr_write(live);
+  }
+
+  /// IOMs: socket write first (it toggles interface enables), then the
+  /// raw source/sink state the write may have touched. `journaled`: the
+  /// blob carries a scheduler section.
+  template <class Ar>
+  static void iom(Ar& ar, core::Iom& iom, bool journaled) {
+    dcr_register(ar, iom.socket(), iom.socket().value());
+    ar.u64(iom.history_limit_);
+    fsl(ar, *iom.fsl_to_mb_);
+    fsl(ar, *iom.fsl_from_mb_);
+    same_count(ar, iom.sources_.size(), "IOM source count");
+    for (auto& s : iom.sources_) {
+      // A live generator is an opaque closure; only scheduler-installed
+      // ones (counting word streams) can be rebuilt from its journal.
+      bool generator = static_cast<bool>(s.generator);
+      ar.boolean(generator);
+      VAPRES_REQUIRE(!generator || journaled,
+                     "snapshot: live source generator without a scheduler "
+                     "journal (pass the owning scheduler)");
+      ar.i64(s.interval_cycles);
+      ar.u64(s.next_emit_cycle);
+      bool has_pending = s.pending.has_value();
+      comm::Word pending = s.pending.value_or(0);
+      ar.boolean(has_pending);
+      ar.u32(pending);
+      if constexpr (Ar::kLoading) {
+        s.pending = has_pending ? std::optional<comm::Word>(pending)
+                                : std::nullopt;
+      }
+      ar.u64(s.words_emitted);
+      ar.u64(s.stalls);
+      producer(ar, *s.interface);
+    }
+    same_count(ar, iom.sinks_.size(), "IOM sink count");
+    for (auto& k : iom.sinks_) {
+      consumer(ar, *k.interface);
+      ar.words(k.received);
+      ar.u64(k.words_received);
+      ar.u64(k.dropped);
+      ar.u64(k.eos_seen);
+      ar.boolean(k.have_last_arrival);
+      ar.u64(k.last_arrival);
+      ar.u64(k.max_gap);
+    }
+  }
+
+  template <class Ar>
+  static void wrapper(Ar& ar, Ref<Ar, hwmodule::ModuleWrapper> wr) {
+    ar.u8(wr.phase_);
+    ar.boolean(wr.in_reset_);
+    ar.boolean(wr.isolated_);
+    ar.u64(wr.words_processed_);
+    ar.words(wr.state_out_);
+    ar.u64(wr.state_cursor_);
+    ar.i64(wr.load_remaining_);
+    ar.words(wr.state_in_);
+  }
+
+  /// PRRs: module occupancy, socket/perf, wrapper protocol, module state
+  /// (through the HwModule save/restore hooks), interfaces.
+  template <class Ar>
+  static void prr(Ar& ar, core::Prr& prr,
+                  const hwmodule::ModuleLibrary& library) {
+    hwmodule::ModuleWrapper& wr = *prr.wrapper_;
+    bool loaded = wr.behavior_ != nullptr;
+    ar.boolean(loaded);
+    // loaded_module_ can outlive the module (blank_prr unloads the
+    // wrapper but keeps the name), so it is its own field.
+    ar.str(prr.loaded_module_);
+    if constexpr (Ar::kLoading) {
+      // The configuration effect; the reconfiguration count it bumps is
+      // overlaid next.
+      if (loaded) {
+        prr.apply_bitstream(bitstream::PartialBitstream::create(
+                                prr.loaded_module_, prr.name(), prr.rect()),
+                            library);
+      }
+    }
+    ar.i64(prr.reconfigurations_);
+    dcr_register(ar, prr.socket(), prr.socket().value());
+    std::uint8_t perf_select = static_cast<std::uint8_t>(prr.perf_->selected());
+    ar.u8(perf_select);
+    if constexpr (Ar::kLoading) prr.perf_->dcr_write(perf_select);
+    wrapper(ar, wr);
+    if (loaded) {
+      hwmodule::ModuleBehavior& b = *wr.behavior_;
+      VAPRES_REQUIRE(b.type_id() == prr.loaded_module_,
+                     "snapshot: wrapper/module bookkeeping out of sync at " +
+                         prr.name());
+      std::vector<comm::Word> state = b.save_state();
+      std::vector<comm::Word> extra = b.snapshot_extra();
+      ar.words(state);
+      ar.words(extra);
+      if constexpr (Ar::kLoading) {
+        if (!state.empty() || !b.save_state().empty()) b.restore_state(state);
+        if (!extra.empty() || !b.snapshot_extra().empty()) {
+          b.restore_extra(extra);
+        }
+      }
+    }
+    for (const auto& c : prr.consumers_) consumer(ar, *c);
+    for (const auto& p : prr.producers_) producer(ar, *p);
+    fsl(ar, *prr.fsl_to_mb_);
+    fsl(ar, *prr.fsl_from_mb_);
+  }
+
+  template <class Ar>
+  static void route_spec(Ar& ar, Ref<Ar, comm::RouteSpec> spec) {
+    ar.i64(spec.producer_box);
+    ar.i64(spec.producer_channel);
+    ar.i64(spec.consumer_box);
+    ar.i64(spec.consumer_channel);
+    ar.list(spec.lanes, 8, [&](auto& lane) { ar.i64(lane); });
+  }
+
+  /// Re-establishes a saved route under its original ids: replaying
+  /// ChannelManager::establish could pick different lanes than the saved
+  /// establish/release interleaving did.
+  static void reestablish(core::ChannelManager& cm, comm::SwitchFabric& fab,
+                          const core::ChannelManager::Entry& e,
+                          comm::BackpressurePolicy policy) {
+    const comm::RouteSpec& spec = e.spec;
+    fab.next_route_id_ = e.route;
+    VAPRES_REQUIRE(fab.establish(spec, policy) == e.route,
+                   "restore: route id diverged");
+    for (int seg = 0; seg < spec.segments(); ++seg) {
+      cm.lane_table(cm.physical_segment(spec, seg), spec.rightward())
+          [static_cast<std::size_t>(
+              spec.lanes[static_cast<std::size_t>(seg)])] = true;
+    }
+    cm.producers_used_.insert(
+        core::ChannelEndpoint{spec.producer_box, spec.producer_channel});
+    cm.consumers_used_.insert(
+        core::ChannelEndpoint{spec.consumer_box, spec.consumer_channel});
+  }
+
+  /// Channels: id, spec, route id, policy, feedback pipeline.
+  template <class Ar>
+  static void channels(Ar& ar, core::ChannelManager& cm,
+                       comm::SwitchFabric& fab) {
+    ar.entries(cm.channels_, 4 + 4 * 8 + kList + 4 + 1 + kList + 1,
+               [&](auto& id, auto& e) {
+      ar.u32(id);
+      route_spec(ar, e.spec);
+      ar.u32(e.route);
+      comm::BackpressurePolicy policy{};
+      if constexpr (!Ar::kLoading) {
+        policy = fab.routes_.at(e.route).consumer->policy_;
+      }
+      ar.u8(policy);
+      if constexpr (Ar::kLoading) reestablish(cm, fab, e, policy);
+      // Establishment built the pipeline freshly cleared.
+      comm::SwitchFabric::FeedbackPipeline& fb =
+          *fab.routes_.at(e.route).feedback;
+      same_count(ar, fb.stages_.size(), "feedback stage count");
+      for (auto&& stage : fb.stages_) ar.boolean(stage);
+      ar.boolean(fb.output_);
+    });
+    ar.u32(cm.next_id_);
+    ar.u32(fab.next_route_id_);
+  }
+
+  template <class Ar>
+  static void rsb(Ar& ar, core::Rsb& rsb, bool journaled,
+                  const hwmodule::ModuleLibrary& library) {
+    boxes(ar, rsb.fabric());
+    same_count(ar, rsb.num_ioms(), "IOM count");
+    for (int i = 0; i < rsb.num_ioms(); ++i) iom(ar, rsb.iom(i), journaled);
+    same_count(ar, rsb.num_prrs(), "PRR count");
+    for (int p = 0; p < rsb.num_prrs(); ++p) prr(ar, rsb.prr(p), library);
+    channels(ar, rsb.channels(), rsb.fabric());
+  }
+
+  // ---- fault: the process-wide injector (RNG stream + scoreboard).
+  template <class Ar>
+  static void faults(Ar& ar, Ref<Ar, sim::FaultInjector> fi) {
+    ar.boolean(fi.enabled_);
+    std::uint64_t rng = fi.rng_.state();
+    ar.u64(rng);
+    if constexpr (Ar::kLoading) fi.rng_.set_state(rng);
+    for (auto& sp : fi.sites_) {
+      ar.f64(sp.probability);
+      ar.u64(sp.armed_at);
+      ar.u64(sp.armed_count);
+      ar.u64(sp.opportunities);
+      ar.u64(sp.injected);
+    }
+    for (auto& rec : fi.recoveries_) ar.u64(rec);
+  }
+
+  // ---- obs: the process-wide metrics registry. Only nonzero values are
+  // serialized: a restored process may carry extra zero-valued
+  // registrations the baseline run lacks at the same point, and those
+  // must not change the bytes of a later snapshot. Restore resets the
+  // values first (registrations survive).
+  template <class Ar>
+  static void histogram(Ar& ar, Ref<Ar, obs::Histogram> h) {
+    for (auto& b : h.buckets_) ar.u64(b);
+    ar.u64(h.count_);
+    ar.u64(h.sum_);
+    ar.u64(h.min_);
+    ar.u64(h.max_);
+  }
+
+  template <class Ar>
+  static void metrics(Ar& ar) {
+    obs::Registry& reg = obs::Registry::instance();
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, std::int64_t>> gauges;
+    std::vector<std::string> histograms;
+    if constexpr (Ar::kLoading) {
+      reg.reset();
+    } else {
+      const obs::MetricsSnapshot ms = reg.snapshot();
+      for (const auto& [name, v] : ms.counters) {
+        if (v != 0) counters.emplace_back(name, v);
+      }
+      for (const auto& [name, v] : ms.gauges) {
+        if (v != 0) gauges.emplace_back(name, v);
+      }
+      for (const auto& h : ms.histograms) {
+        if (h.count > 0) histograms.push_back(h.name);
+      }
+    }
+    ar.list(counters, kStr + 8, [&](auto& c) {
+      ar.str(c.first);
+      ar.u64(c.second);
+      if constexpr (Ar::kLoading) reg.counter(c.first).add(c.second);
+    });
+    ar.list(gauges, kStr + 8, [&](auto& g) {
+      ar.str(g.first);
+      ar.i64(g.second);
+      if constexpr (Ar::kLoading) reg.gauge(g.first).set(g.second);
+    });
+    ar.list(histograms, kStr + 8 * (obs::Histogram::kBuckets + 4),
+            [&](auto& name) {
+              ar.str(name);
+              histogram(ar, reg.histogram(name));
+            });
+  }
+
+  // ---- sched (optional): app records, occupancy, counters. Save fills
+  // the journal from the live scheduler; both restore paths read it back
+  // and apply what they adopt.
+  static constexpr std::array kSchedCounters{
+      &sched::ApplicationScheduler::first_id_,
+      &sched::ApplicationScheduler::preemptions_,
+      &sched::ApplicationScheduler::defrag_migrations_,
+      &sched::ApplicationScheduler::migration_rollbacks_,
+      &sched::ApplicationScheduler::retired_admitted_,
+      &sched::ApplicationScheduler::retired_admitted_after_defrag_,
+      &sched::ApplicationScheduler::retired_admitted_after_preempt_,
+      &sched::ApplicationScheduler::retired_rejected_,
+  };
+
+  /// `App` holds each record: restore reads into an owned AppRecord,
+  /// save refers to the live scheduler's records instead of copying them.
+  template <class App>
+  struct Journal {
+    sched::ApplicationScheduler::Options opt;
+    std::array<int, kSchedCounters.size()> counters{};
+    std::vector<sched::PrrSlot> slots;  ///< FabricMap slots (rect unused)
+    std::vector<std::vector<bool>> source_busy;  ///< [iom][channel]
+    std::vector<std::vector<bool>> sink_busy;
+    struct Record {
+      App rec;
+      /// Whether the source generator is still installed — a
+      /// just-exhausted one is nulled only on its next commit, so this
+      /// cannot be derived from word counts alone.
+      bool generator_live = false;
+    };
+    std::vector<Record> records;
+  };
+  using SchedJournal = Journal<sched::AppRecord>;
+  using LiveJournal = Journal<std::reference_wrapper<const sched::AppRecord>>;
+
+  template <class Ar>
+  static void app_record(Ar& ar, Ref<Ar, sched::AppRecord> rec) {
+    ar.i64(rec.id);
+    ar.str(rec.request.name);
+    ar.list(rec.request.modules, kStr, [&](auto& m) { ar.str(m); });
+    ar.i64(rec.request.priority);
+    ar.i64(rec.request.source_interval_cycles);
+    ar.u64(rec.request.source_words);
+    ar.u8(rec.state);
+    ar.u8(rec.verdict);
+    ar.str(rec.reject_reason);
+    ar.i64(rec.source.iom);
+    ar.i64(rec.source.channel);
+    ar.i64(rec.sink.iom);
+    ar.i64(rec.sink.channel);
+    ar.list(rec.prrs, 8, [&](auto& p) { ar.i64(p); });
+    ar.list(rec.channels, 4, [&](auto& c) { ar.u32(c); });
+    ar.list(rec.clocks_mhz, 8, [&](auto& c) { ar.f64(c); });
+    ar.u64(rec.submitted_at);
+    ar.u64(rec.launched_at);
+    ar.u64(rec.stopped_at);
+    ar.u64(rec.admission_mb_cycles);
+    ar.u64(rec.base_words_emitted);
+    ar.u64(rec.base_words_received);
+    ar.u64(rec.final_words_in);
+    ar.u64(rec.final_words_out);
+    ar.i64(rec.migrations);
+  }
+  /// app_record's encoding with empty strings and lists.
+  static constexpr std::size_t kRecordBytes =
+      8 + kStr + kList + 3 * 8 + 2 + kStr + 4 * 8 + 3 * kList + 8 * 8 + 8;
+
+  template <class Ar>
+  static void busy_table(Ar& ar, Ref<Ar, std::vector<std::vector<bool>>> t) {
+    ar.list(t, kList, [&](auto& row) {
+      ar.list(row, 1, [&](auto&& busy) { ar.boolean(busy); });
+    });
+  }
+
+  template <class Ar, class J>
+  static void journal(Ar& ar, J& j) {
+    ar.i64(j.opt.rsb_index);
+    ar.u8(j.opt.policy);
+    ar.boolean(j.opt.enable_defrag);
+    ar.boolean(j.opt.enable_preemption);
+    ar.i64(j.opt.max_defrag_migrations);
+    ar.u8(j.opt.source);
+    ar.boolean(j.opt.prefetch_hints);
+    for (auto& c : j.counters) ar.i64(c);
+    ar.list(j.slots, 1 + 8 + 8 + kStr + 8 + 1, [&](auto& s) {
+      ar.boolean(s.free);
+      ar.i64(s.app_id);
+      ar.i64(s.chain_pos);
+      ar.str(s.module_id);
+      ar.i64(s.module_slices);
+      ar.boolean(s.migratable);
+    });
+    busy_table(ar, j.source_busy);
+    busy_table(ar, j.sink_busy);
+    ar.list(j.records, kRecordBytes + 1, [&](auto& entry) {
+      app_record(ar, entry.rec);
+      ar.boolean(entry.generator_live);
+    });
+  }
+
+  static LiveJournal journal_of(const sched::ApplicationScheduler& sc,
+                                core::VapresSystem& sys) {
+    LiveJournal j;
+    j.opt = sc.opt_;
+    for (std::size_t i = 0; i < kSchedCounters.size(); ++i) {
+      j.counters[i] = sc.*kSchedCounters[i];
+    }
+    for (int p = 0; p < sc.map_.num_slots(); ++p) {
+      j.slots.push_back(sc.map_.slot(p));
+    }
+    j.source_busy = sc.source_busy_;
+    j.sink_busy = sc.sink_busy_;
+    core::Rsb& rsb = sys.rsb(sc.opt_.rsb_index);
+    for (const sched::AppRecord& rec : sc.apps_) {
+      const bool live =
+          rec.running() &&
+          static_cast<bool>(
+              rsb.iom(rec.source.iom)
+                  .sources_[static_cast<std::size_t>(rec.source.channel)]
+                  .generator);
+      j.records.push_back({std::cref(rec), live});
+    }
+    return j;
+  }
+
+  static SchedJournal read_journal(const SnapshotReader& r) {
+    SchedJournal j;
+    r.open_section("sched");
+    journal(r, j);
+    return j;
+  }
+
+  /// The fresh scheduler both restore paths start from: journaled
+  /// options and counters applied, and every index a running record
+  /// carries checked against the live fabric before either path uses it.
+  static std::unique_ptr<sched::ApplicationScheduler> scheduler_for(
+      const SchedJournal& j, core::VapresSystem& sys) {
+    auto sc = std::make_unique<sched::ApplicationScheduler>(sys, j.opt);
+    for (std::size_t i = 0; i < kSchedCounters.size(); ++i) {
+      (*sc).*kSchedCounters[i] = j.counters[i];
+    }
+    VAPRES_REQUIRE(static_cast<int>(j.slots.size()) == sc->map_.num_slots(),
+                   "restore: fabric-map size mismatch");
+    const auto on_fabric = [](const std::vector<std::vector<bool>>& busy,
+                              const sched::IomChannelRef& ref) {
+      return ref.iom >= 0 && ref.iom < static_cast<int>(busy.size()) &&
+             ref.channel >= 0 &&
+             ref.channel < static_cast<int>(
+                               busy[static_cast<std::size_t>(ref.iom)].size());
+    };
+    for (const SchedJournal::Record& entry : j.records) {
+      const sched::AppRecord& rec = entry.rec;
+      if (!rec.running()) continue;
+      const auto app = [&rec](const char* what) {
+        return "restore: app " + std::to_string(rec.id) + what;
+      };
+      VAPRES_REQUIRE(on_fabric(sc->source_busy_, rec.source) &&
+                         on_fabric(sc->sink_busy_, rec.sink),
+                     app(" names an IOM channel the fabric lacks"));
+      VAPRES_REQUIRE(rec.request.modules.size() >= rec.prrs.size(),
+                     app(" places more PRRs than it has modules"));
+      for (const int p : rec.prrs) {
+        VAPRES_REQUIRE(p >= 0 && p < sc->map_.num_slots(),
+                       app(" names a PRR the fabric lacks"));
+      }
+    }
+    return sc;
+  }
+
+  // ---- switch (optional, warm-only): the in-flight protocol journal.
+  template <class Ar>
+  static void switch_request(Ar& ar, Ref<Ar, core::SwitchRequest> req) {
+    ar.i64(req.rsb_index);
+    ar.i64(req.src_prr);
+    ar.i64(req.dst_prr);
+    ar.str(req.new_module_id);
+    ar.u32(req.upstream);
+    ar.u32(req.downstream);
+    ar.i64(req.eos_iom);
+    ar.u8(req.source);
+  }
+
+  /// The request leads the section: warm restart reads it first to
+  /// construct the switcher, then reads the whole section into it.
+  template <class Ar>
+  static void switcher(Ar& ar, Ref<Ar, core::ModuleSwitcher> sw) {
+    switch_request(ar, sw.req_);
+    ar.u8(sw.state_);
+    auto& t = sw.timeline_;
+    ar.u64(t.started);
+    ar.u64(t.reconfig_done);
+    ar.u64(t.input_rerouted);
+    ar.u64(t.state_collected);
+    ar.u64(t.module_initialized);
+    ar.u64(t.iom_eos_seen);
+    ar.u64(t.completed);
+    ar.u64(t.aborted);
+    ar.boolean(sw.reconfig_complete_);
+    ar.boolean(sw.reconfig_ok_);
+    ar.words(sw.collected_state_);
+    ar.words(sw.monitoring_);
+    ar.boolean(sw.saw_header_);
+    ar.i64(sw.expected_words_);
+    ar.u32(sw.new_upstream_);
+    ar.u32(sw.new_downstream_);
+  }
+};
 
 // ---------------------------------------------------------------------------
 // save
@@ -82,529 +838,37 @@ std::string SystemSnapshot::save(core::VapresSystem& sys, std::uint64_t epoch,
                      "snapshot: anchored busy span without its wake armed");
     }
   }
-  // A live source generator is an opaque closure; only scheduler-installed
-  // generators (counting word streams) can be reconstructed from a journal.
-  for (int ri = 0; ri < sys.num_rsbs(); ++ri) {
-    core::Rsb& rsb = sys.rsb(ri);
-    for (int ii = 0; ii < rsb.num_ioms(); ++ii) {
-      for (const auto& src : rsb.iom(ii).sources_) {
-        VAPRES_REQUIRE(!(src.generator && sched == nullptr),
-                       "snapshot: live ad-hoc source generator is not "
-                       "serializable; pass the owning scheduler");
-      }
-    }
-  }
 
   SnapshotWriter w(epoch);
-
-  // ---- Serialization helpers. Local lambdas inherit this member
-  // function's friend access to the component internals.
-  const auto put_flit = [&w](const comm::Flit& f) {
-    w.u32(f.data);
-    w.boolean(f.valid);
+  const auto section = [&w](const std::string& name, const auto& fields) {
+    w.begin_section(name);
+    fields();
+    w.end_section();
   };
-  const auto put_fifo = [&w](const comm::Fifo& f) {
-    w.u32(static_cast<std::uint32_t>(f.words_.size()));
-    for (const comm::Word word : f.words_) w.u32(word);
-    w.u64(f.pushed_);
-    w.u64(f.popped_);
-    w.u64(f.fault_dropped_);
-    w.u64(f.fault_duplicated_);
-    w.i64(f.high_watermark_);
-  };
-  const auto put_words = [&w](const std::vector<comm::Word>& v) {
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const comm::Word word : v) w.u32(word);
-  };
-  const auto put_producer = [&](const comm::ProducerInterface& p) {
-    put_fifo(p.fifo_);
-    w.boolean(p.read_enable_);
-    put_flit(p.output_);
-    put_flit(p.next_output_);
-    w.boolean(p.pop_pending_);
-    w.u64(p.words_sent_);
-    w.u64(p.stall_cycles_);
-  };
-  const auto put_consumer = [&](const comm::ConsumerInterface& c) {
-    put_fifo(c.fifo_);
-    w.boolean(c.write_enable_);
-    w.i64(c.hops_);
-    w.u8(static_cast<std::uint8_t>(c.policy_));
-    w.boolean(c.full_feedback_);
-    w.boolean(c.next_full_feedback_);
-    put_flit(c.pending_);
-    w.u64(c.words_received_);
-    w.u64(c.words_discarded_);
-  };
-  const auto put_fsl = [&](const comm::FslLink& l) { put_fifo(l.fifo_); };
-  const auto put_bitstream = [&w](const bitstream::PartialBitstream& bs) {
-    w.str(bs.module_id);
-    w.str(bs.target_prr);
-    w.i64(bs.region.row);
-    w.i64(bs.region.col);
-    w.i64(bs.region.height);
-    w.i64(bs.region.width);
-    w.i64(bs.size_bytes);
-    w.u32(bs.tag);
-  };
-
-  // ---- meta: the construction fingerprint a restore must match.
-  {
-    const core::SystemParams& p = sys.params_;
-    w.begin_section("meta");
-    w.str(p.name);
-    w.str(p.device.name());
-    w.f64(p.system_clock_mhz);
-    w.f64(p.prr_clock_a_mhz);
-    w.f64(p.prr_clock_b_mhz);
-    w.i64(p.sdram_bytes);
-    w.u32(static_cast<std::uint32_t>(p.rsbs.size()));
-    for (const core::RsbParams& r : p.rsbs) {
-      w.i64(r.num_prrs);
-      w.i64(r.num_ioms);
-      w.i64(r.width_bits);
-      w.i64(r.kr);
-      w.i64(r.kl);
-      w.i64(r.ki);
-      w.i64(r.ko);
-      w.i64(r.fifo_depth);
-      w.i64(r.prr_height_clbs);
-      w.i64(r.prr_width_clbs);
-    }
-    w.u32(static_cast<std::uint32_t>(sys.floorplan_.size()));
-    for (const fabric::ClbRect& rect : sys.floorplan_) {
-      w.i64(rect.row);
-      w.i64(rect.col);
-      w.i64(rect.height);
-      w.i64(rect.width);
-    }
-    w.end_section();
-  }
-
-  // ---- sim: kernel mode, global time, per-domain clock state.
-  // KernelStats are deliberately excluded: restore wakes every component,
-  // so edge-delivery accounting diverges while architectural state does
-  // not (the quiescent() contract guarantees the extra edges are no-ops).
-  {
-    w.begin_section("sim");
-    w.boolean(sys.sim_.activity_driven_);
-    w.u64(sys.sim_.now_);
-    w.u32(static_cast<std::uint32_t>(sys.sim_.domains().size()));
-    for (const auto& d : sys.sim_.domains()) {
-      w.str(d->name_);
-      w.u64(d->period_ps_);
-      w.boolean(d->enabled_);
-      w.u64(d->cycle_count_);
-      w.u64(d->anchor_ps_);
-    }
-    w.end_section();
-  }
-
-  // ---- mb: busy-span machinery and lifetime counters.
-  {
-    const proc::Microblaze& mb = *sys.mb_;
-    w.begin_section("mb");
-    w.u64(mb.busy_pending_);
-    w.boolean(mb.busy_anchored_);
-    w.u64(mb.busy_last_cycle_);
-    const bool wake_armed = mb.busy_wake_.has_value();
-    w.boolean(wake_armed);
-    // Absolute remaining delay: at restore "now" need not be edge-aligned,
-    // so re-arming through arm_busy_wake() would misplace the expiry edge.
-    std::uint64_t wake_delay = 0;
-    if (wake_armed && !sys.sim_.events_.empty()) {
-      wake_delay = sys.sim_.events_.next_time() - sys.sim_.now_;
-    }
-    w.u64(wake_delay);
-    w.u64(mb.total_busy_cycles_);
-    w.u64(mb.interrupts_serviced_);
-    w.end_section();
-  }
-
-  // ---- dcr / icap / reconfig.
-  {
-    w.begin_section("dcr");
-    w.u64(sys.dcr_.accesses_);
-    w.end_section();
-
-    w.begin_section("icap");
-    w.f64(sys.icap_.port_clock_mhz_);
-    w.i64(sys.icap_.total_bytes_);
-    w.i64(sys.icap_.transfers_);
-    w.i64(sys.icap_.corrupted_);
-    w.i64(sys.icap_.timed_out_);
-    w.end_section();
-
-    const core::ReconfigManager& rc = *sys.reconfig_;
-    w.begin_section("reconfig");
-    w.boolean(rc.verify_);
-    w.i64(rc.policy_.max_attempts);
-    w.u64(rc.policy_.backoff_base_cycles);
-    w.boolean(rc.policy_.fallback_to_cf);
-    w.f64(rc.last_.storage_cycles);
-    w.f64(rc.last_.icap_cycles);
-    w.i64(rc.completed_);
-    w.i64(rc.retries_);
-    w.i64(rc.fallbacks_);
-    w.i64(rc.failures_);
-    w.end_section();
-  }
-
-  // ---- storage: CF files and SDRAM arrays (map order = deterministic).
-  {
-    w.begin_section("storage");
-    const auto cf_files = sys.cf_.list();
-    w.u32(static_cast<std::uint32_t>(cf_files.size()));
-    for (const std::string& name : cf_files) {
-      w.str(name);
-      put_bitstream(sys.cf_.read(name));
-    }
-    const auto arrays = sys.sdram_->list();
-    w.u32(static_cast<std::uint32_t>(arrays.size()));
-    for (const std::string& key : arrays) {
-      w.str(key);
-      put_bitstream(sys.sdram_->read(key));
-    }
-    w.end_section();
-  }
-
-  // ---- bitman: cache residency metadata and predictor tables.
-  {
-    const bitman::BitstreamManager& bm = *sys.bitman_;
-    w.begin_section("bitman");
-    w.boolean(bm.opt_.stage_on_miss);
-    w.i64(bm.opt_.stream_chunk_bytes);
-    w.boolean(bm.opt_.predict_next);
-    w.u64(bm.stats_.hits);
-    w.u64(bm.stats_.misses);
-    w.u64(bm.stats_.streamed_misses);
-    w.u64(bm.stats_.evictions);
-    w.i64(bm.stats_.evicted_bytes);
-    w.u64(bm.stats_.staged);
-    w.u64(bm.stats_.replaced);
-    w.u64(bm.stats_.invalidations);
-    w.u64(bm.stats_.prefetch_issued);
-    w.u64(bm.stats_.prefetch_completed);
-    w.u64(bm.stats_.prefetch_cancelled);
-    w.u64(bm.stats_.prefetch_useful);
-    w.u64(bm.use_tick_);
-    w.u32(static_cast<std::uint32_t>(bm.entries_.size()));
-    for (const auto& [key, e] : bm.entries_) {
-      w.str(key);
-      w.u64(e.last_use);
-      w.boolean(e.prefetched);
-      w.boolean(e.demand_hit_seen);
-    }
-    w.u32(static_cast<std::uint32_t>(bm.last_module_.size()));
-    for (const auto& [prr, mod] : bm.last_module_) {
-      w.str(prr);
-      w.str(mod);
-    }
-    w.u32(static_cast<std::uint32_t>(bm.next_after_.size()));
-    for (const auto& [prr, table] : bm.next_after_) {
-      w.str(prr);
-      w.u32(static_cast<std::uint32_t>(table.size()));
-      for (const auto& [last, next] : table) {
-        w.str(last);
-        w.str(next);
-      }
-    }
-    w.end_section();
-  }
-
-  // ---- per-RSB fabric state: boxes, IOMs, PRRs, channels.
+  section("meta", [&] { Fields::meta(w, sys); });
+  section("sim", [&] { Fields::clocks(w, sys.sim_); });
+  section("mb", [&] { Fields::microblaze(w, *sys.mb_, sys.sim_); });
+  section("dcr", [&] { Fields::dcr(w, sys.dcr_); });
+  section("icap", [&] { Fields::icap(w, sys.icap_); });
+  section("reconfig", [&] { Fields::reconfig(w, *sys.reconfig_); });
+  section("storage", [&] { Fields::storage(w, sys); });
+  section("bitman", [&] { Fields::bitman_cache(w, *sys.bitman_); });
   for (int ri = 0; ri < sys.num_rsbs(); ++ri) {
-    core::Rsb& rsb = sys.rsb(ri);
-    comm::SwitchFabric& fab = rsb.fabric();
-    const comm::SwitchBoxShape& sh = fab.shape();
-    w.begin_section("rsb" + std::to_string(ri));
-
-    // Switch boxes: input registers, mux selects, outputs, stuck latches.
-    w.u32(static_cast<std::uint32_t>(fab.num_boxes()));
-    for (int b = 0; b < fab.num_boxes(); ++b) {
-      const comm::SwitchBox& box = fab.box(b);
-      for (int i = 0; i < sh.num_inputs(); ++i) {
-        put_flit(box.regs_[static_cast<std::size_t>(i)]);
-        put_flit(box.regs_next_[static_cast<std::size_t>(i)]);
-      }
-      for (int o = 0; o < sh.num_outputs(); ++o) {
-        w.i64(box.selects_[static_cast<std::size_t>(o)]);
-        put_flit(box.outputs_[static_cast<std::size_t>(o)]);
-        w.boolean(box.stuck_[static_cast<std::size_t>(o)]);
-      }
-      w.i64(box.stuck_events_);
-    }
-
-    // IOMs: socket, FSLs, source/sink halves.
-    w.u32(static_cast<std::uint32_t>(rsb.num_ioms()));
-    for (int ii = 0; ii < rsb.num_ioms(); ++ii) {
-      core::Iom& iom = rsb.iom(ii);
-      w.u32(iom.socket().value());
-      w.u64(iom.history_limit_);
-      put_fsl(*iom.fsl_to_mb_);
-      put_fsl(*iom.fsl_from_mb_);
-      w.u32(static_cast<std::uint32_t>(iom.sources_.size()));
-      for (const auto& s : iom.sources_) {
-        w.boolean(static_cast<bool>(s.generator));
-        w.i64(s.interval_cycles);
-        w.u64(s.next_emit_cycle);
-        w.boolean(s.pending.has_value());
-        w.u32(s.pending.value_or(0));
-        w.u64(s.words_emitted);
-        w.u64(s.stalls);
-        put_producer(*s.interface);
-      }
-      w.u32(static_cast<std::uint32_t>(iom.sinks_.size()));
-      for (const auto& k : iom.sinks_) {
-        put_consumer(*k.interface);
-        put_words(k.received);
-        w.u64(k.words_received);
-        w.u64(k.dropped);
-        w.u64(k.eos_seen);
-        w.boolean(k.have_last_arrival);
-        w.u64(k.last_arrival);
-        w.u64(k.max_gap);
-      }
-    }
-
-    // PRRs: module occupancy, socket/perf, wrapper protocol, interfaces.
-    w.u32(static_cast<std::uint32_t>(rsb.num_prrs()));
-    for (int pi = 0; pi < rsb.num_prrs(); ++pi) {
-      core::Prr& prr = rsb.prr(pi);
-      hwmodule::ModuleWrapper& wr = *prr.wrapper_;
-      const bool loaded = wr.behavior_ != nullptr;
-      w.boolean(loaded);
-      // loaded_module_ can outlive the module (blank_prr unloads the
-      // wrapper but keeps the name); serialize both.
-      w.str(prr.loaded_module_);
-      w.i64(prr.reconfigurations_);
-      w.u32(prr.socket().value());
-      w.u8(static_cast<std::uint8_t>(prr.perf_->selected()));
-      w.u8(static_cast<std::uint8_t>(wr.phase_));
-      w.boolean(wr.in_reset_);
-      w.boolean(wr.isolated_);
-      w.u64(wr.words_processed_);
-      put_words(wr.state_out_);
-      w.u64(wr.state_cursor_);
-      w.i64(wr.load_remaining_);
-      put_words(wr.state_in_);
-      if (loaded) {
-        VAPRES_REQUIRE(wr.behavior_->type_id() == prr.loaded_module_,
-                       "snapshot: wrapper/module bookkeeping out of sync at " +
-                           prr.name());
-        put_words(wr.behavior_->save_state());
-        put_words(wr.behavior_->snapshot_extra());
-      }
-      for (const auto& c : prr.consumers_) put_consumer(*c);
-      for (const auto& p : prr.producers_) put_producer(*p);
-      put_fsl(*prr.fsl_to_mb_);
-      put_fsl(*prr.fsl_from_mb_);
-    }
-
-    // Channels: id, spec, policy, route id, feedback pipeline.
-    const core::ChannelManager& cm =
-        const_cast<core::Rsb&>(rsb).channels();
-    w.u32(static_cast<std::uint32_t>(cm.channels_.size()));
-    for (const auto& [id, e] : cm.channels_) {
-      w.u32(id);
-      w.i64(e.spec.producer_box);
-      w.i64(e.spec.producer_channel);
-      w.i64(e.spec.consumer_box);
-      w.i64(e.spec.consumer_channel);
-      w.u32(static_cast<std::uint32_t>(e.spec.lanes.size()));
-      for (const int lane : e.spec.lanes) w.i64(lane);
-      w.u32(e.route);
-      const auto& route = fab.routes_.at(e.route);
-      w.u8(static_cast<std::uint8_t>(route.consumer->policy_));
-      w.u32(static_cast<std::uint32_t>(route.feedback->stages_.size()));
-      for (const bool st : route.feedback->stages_) w.boolean(st);
-      w.boolean(route.feedback->output_);
-    }
-    w.u32(cm.next_id_);
-    w.u32(fab.next_route_id_);
-    w.end_section();
+    section("rsb" + std::to_string(ri), [&] {
+      Fields::rsb(w, sys.rsb(ri), sched != nullptr, sys.library_);
+    });
   }
-
-  // ---- fault: the process-wide injector (RNG stream + scoreboard).
-  {
-    const sim::FaultInjector& fi = sim::FaultInjector::instance();
-    w.begin_section("fault");
-    w.boolean(fi.enabled_);
-    w.u64(fi.rng_.state());
-    for (const auto& sp : fi.sites_) {
-      w.f64(sp.probability);
-      w.u64(sp.armed_at);
-      w.u64(sp.armed_count);
-      w.u64(sp.opportunities);
-      w.u64(sp.injected);
-    }
-    for (const std::uint64_t rec : fi.recoveries_) w.u64(rec);
-    w.end_section();
-  }
-
-  // ---- obs: the process-wide metrics registry. Only nonzero values are
-  // serialized: a restored process may carry extra zero-valued
-  // registrations the baseline run lacks at the same point, and those
-  // must not change the bytes of a later snapshot.
-  {
-    w.begin_section("obs");
-    obs::Registry& reg = obs::Registry::instance();
-    const obs::MetricsSnapshot ms = reg.snapshot();
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    for (const auto& [name, v] : ms.counters) {
-      if (v != 0) counters.emplace_back(name, v);
-    }
-    w.u32(static_cast<std::uint32_t>(counters.size()));
-    for (const auto& [name, v] : counters) {
-      w.str(name);
-      w.u64(v);
-    }
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
-    for (const auto& [name, v] : ms.gauges) {
-      if (v != 0) gauges.emplace_back(name, v);
-    }
-    w.u32(static_cast<std::uint32_t>(gauges.size()));
-    for (const auto& [name, v] : gauges) {
-      w.str(name);
-      w.i64(v);
-    }
-    std::vector<std::string> hists;
-    for (const auto& h : ms.histograms) {
-      if (h.count > 0) hists.push_back(h.name);
-    }
-    w.u32(static_cast<std::uint32_t>(hists.size()));
-    for (const std::string& name : hists) {
-      const obs::Histogram& h = reg.histogram(name);
-      w.str(name);
-      for (const std::uint64_t b : h.buckets_) w.u64(b);
-      w.u64(h.count_);
-      w.u64(h.sum_);
-      w.u64(h.min_);
-      w.u64(h.max_);
-    }
-    w.end_section();
-  }
-
-  // ---- sched (optional): app records, occupancy, counters.
+  section("fault", [&] { Fields::faults(w, sim::FaultInjector::instance()); });
+  section("obs", [&] { Fields::metrics(w); });
   if (sched != nullptr) {
-    const sched::ApplicationScheduler& sc = *sched;
-    w.begin_section("sched");
-    w.i64(sc.opt_.rsb_index);
-    w.u8(static_cast<std::uint8_t>(sc.opt_.policy));
-    w.boolean(sc.opt_.enable_defrag);
-    w.boolean(sc.opt_.enable_preemption);
-    w.i64(sc.opt_.max_defrag_migrations);
-    w.u8(static_cast<std::uint8_t>(sc.opt_.source));
-    w.boolean(sc.opt_.prefetch_hints);
-    w.i64(sc.first_id_);
-    w.i64(sc.preemptions_);
-    w.i64(sc.defrag_migrations_);
-    w.i64(sc.migration_rollbacks_);
-    w.i64(sc.retired_admitted_);
-    w.i64(sc.retired_admitted_after_defrag_);
-    w.i64(sc.retired_admitted_after_preempt_);
-    w.i64(sc.retired_rejected_);
-    // FabricMap slots.
-    w.u32(static_cast<std::uint32_t>(sc.map_.num_slots()));
-    for (int p = 0; p < sc.map_.num_slots(); ++p) {
-      const sched::PrrSlot& slot = sc.map_.slot(p);
-      w.boolean(slot.free);
-      w.i64(slot.app_id);
-      w.i64(slot.chain_pos);
-      w.str(slot.module_id);
-      w.i64(slot.module_slices);
-      w.boolean(slot.migratable);
-    }
-    // Channel-busy tables.
-    const auto put_busy = [&w](const std::vector<std::vector<bool>>& t) {
-      w.u32(static_cast<std::uint32_t>(t.size()));
-      for (const auto& row : t) {
-        w.u32(static_cast<std::uint32_t>(row.size()));
-        for (const bool b : row) w.boolean(b);
-      }
-    };
-    put_busy(sc.source_busy_);
-    put_busy(sc.sink_busy_);
-    // App records.
-    core::Rsb& srsb = sys.rsb(sc.opt_.rsb_index);
-    w.u32(static_cast<std::uint32_t>(sc.apps_.size()));
-    for (const sched::AppRecord& rec : sc.apps_) {
-      w.i64(rec.id);
-      w.str(rec.request.name);
-      w.u32(static_cast<std::uint32_t>(rec.request.modules.size()));
-      for (const std::string& m : rec.request.modules) w.str(m);
-      w.i64(rec.request.priority);
-      w.i64(rec.request.source_interval_cycles);
-      w.u64(rec.request.source_words);
-      w.u8(static_cast<std::uint8_t>(rec.state));
-      w.u8(static_cast<std::uint8_t>(rec.verdict));
-      w.str(rec.reject_reason);
-      w.i64(rec.source.iom);
-      w.i64(rec.source.channel);
-      w.i64(rec.sink.iom);
-      w.i64(rec.sink.channel);
-      w.u32(static_cast<std::uint32_t>(rec.prrs.size()));
-      for (const int p : rec.prrs) w.i64(p);
-      w.u32(static_cast<std::uint32_t>(rec.channels.size()));
-      for (const core::ChannelId c : rec.channels) w.u32(c);
-      w.u32(static_cast<std::uint32_t>(rec.clocks_mhz.size()));
-      for (const double c : rec.clocks_mhz) w.f64(c);
-      w.u64(rec.submitted_at);
-      w.u64(rec.launched_at);
-      w.u64(rec.stopped_at);
-      w.u64(rec.admission_mb_cycles);
-      w.u64(rec.base_words_emitted);
-      w.u64(rec.base_words_received);
-      w.u64(rec.final_words_in);
-      w.u64(rec.final_words_out);
-      w.i64(rec.migrations);
-      // Whether the source generator is still installed right now — a
-      // just-exhausted generator is nulled only on its next commit, so
-      // this cannot be derived from word counts alone.
-      bool generator_live = false;
-      if (rec.running()) {
-        generator_live = static_cast<bool>(
-            srsb.iom(rec.source.iom)
-                .sources_[static_cast<std::size_t>(rec.source.channel)]
-                .generator);
-      }
-      w.boolean(generator_live);
-    }
-    w.end_section();
+    section("sched", [&] {
+      const Fields::LiveJournal j = Fields::journal_of(*sched, sys);
+      Fields::journal(w, j);
+    });
   }
-
-  // ---- switch (optional, warm-only): the in-flight protocol journal.
   if (switcher != nullptr) {
-    const core::ModuleSwitcher& sw = *switcher;
-    w.begin_section("switch");
-    w.i64(sw.req_.rsb_index);
-    w.i64(sw.req_.src_prr);
-    w.i64(sw.req_.dst_prr);
-    w.str(sw.req_.new_module_id);
-    w.u32(sw.req_.upstream);
-    w.u32(sw.req_.downstream);
-    w.i64(sw.req_.eos_iom);
-    w.u8(static_cast<std::uint8_t>(sw.req_.source));
-    w.u8(static_cast<std::uint8_t>(sw.state_));
-    w.u64(sw.timeline_.started);
-    w.u64(sw.timeline_.reconfig_done);
-    w.u64(sw.timeline_.input_rerouted);
-    w.u64(sw.timeline_.state_collected);
-    w.u64(sw.timeline_.module_initialized);
-    w.u64(sw.timeline_.iom_eos_seen);
-    w.u64(sw.timeline_.completed);
-    w.u64(sw.timeline_.aborted);
-    w.boolean(sw.reconfig_complete_);
-    w.boolean(sw.reconfig_ok_);
-    put_words(sw.collected_state_);
-    put_words(sw.monitoring_);
-    w.boolean(sw.saw_header_);
-    w.i64(sw.expected_words_);
-    w.u32(sw.new_upstream_);
-    w.u32(sw.new_downstream_);
-    w.end_section();
+    section("switch", [&] { Fields::switcher(w, *switcher); });
   }
-
   return w.finish();
 }
 
@@ -635,493 +899,48 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
   VAPRES_REQUIRE(!r.has_section("switch"),
                  "cold restore refuses a warm snapshot (in-flight switch "
                  "journal); use warm_restart against the live fabric");
-  const bool has_sched = r.has_section("sched");
+  const bool journaled = r.has_section("sched");
 
-  // ---- Deserialization helpers (friend access via local lambdas).
-  const auto get_flit = [&r]() {
-    comm::Flit f;
-    f.data = r.u32();
-    f.valid = r.boolean();
-    return f;
-  };
-  const auto get_fifo = [&](comm::Fifo& f) {
-    const std::uint32_t n = r.u32();
-    f.words_.clear();
-    for (std::uint32_t i = 0; i < n; ++i) f.words_.push_back(r.u32());
-    f.pushed_ = r.u64();
-    f.popped_ = r.u64();
-    f.fault_dropped_ = r.u64();
-    f.fault_duplicated_ = r.u64();
-    f.high_watermark_ = static_cast<int>(r.i64());
-  };
-  const auto get_words = [&r]() {
-    std::vector<comm::Word> v;
-    const std::uint32_t n = r.u32();
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.u32());
-    return v;
-  };
-  const auto get_producer = [&](comm::ProducerInterface& p) {
-    get_fifo(p.fifo_);
-    p.read_enable_ = r.boolean();
-    p.output_ = get_flit();
-    p.next_output_ = get_flit();
-    p.pop_pending_ = r.boolean();
-    p.words_sent_ = r.u64();
-    p.stall_cycles_ = r.u64();
-  };
-  const auto get_consumer = [&](comm::ConsumerInterface& c) {
-    get_fifo(c.fifo_);
-    c.write_enable_ = r.boolean();
-    c.hops_ = static_cast<int>(r.i64());
-    c.policy_ = static_cast<comm::BackpressurePolicy>(r.u8());
-    c.full_feedback_ = r.boolean();
-    c.next_full_feedback_ = r.boolean();
-    c.pending_ = get_flit();
-    c.words_received_ = r.u64();
-    c.words_discarded_ = r.u64();
-  };
-  const auto get_fsl = [&](comm::FslLink& l) { get_fifo(l.fifo_); };
-  const auto get_bitstream = [&r]() {
-    bitstream::PartialBitstream bs;
-    bs.module_id = r.str();
-    bs.target_prr = r.str();
-    bs.region.row = static_cast<int>(r.i64());
-    bs.region.col = static_cast<int>(r.i64());
-    bs.region.height = static_cast<int>(r.i64());
-    bs.region.width = static_cast<int>(r.i64());
-    bs.size_bytes = r.i64();
-    bs.tag = r.u32();
-    return bs;
-  };
-
-  // ---- meta: verify the construction fingerprint before building.
-  r.open_section("meta");
-  VAPRES_REQUIRE(r.str() == params.name, "restore: system name mismatch");
-  VAPRES_REQUIRE(r.str() == params.device.name(),
-                 "restore: device mismatch");
-  VAPRES_REQUIRE(r.f64() == params.system_clock_mhz,
-                 "restore: system clock mismatch");
-  VAPRES_REQUIRE(r.f64() == params.prr_clock_a_mhz,
-                 "restore: PRR clock A mismatch");
-  VAPRES_REQUIRE(r.f64() == params.prr_clock_b_mhz,
-                 "restore: PRR clock B mismatch");
-  VAPRES_REQUIRE(r.i64() == params.sdram_bytes,
-                 "restore: SDRAM capacity mismatch");
-  VAPRES_REQUIRE(r.u32() == params.rsbs.size(),
-                 "restore: RSB count mismatch");
-  for (const core::RsbParams& p : params.rsbs) {
-    const bool rsb_match =
-        r.i64() == p.num_prrs && r.i64() == p.num_ioms &&
-        r.i64() == p.width_bits && r.i64() == p.kr && r.i64() == p.kl &&
-        r.i64() == p.ki && r.i64() == p.ko && r.i64() == p.fifo_depth &&
-        r.i64() == p.prr_height_clbs && r.i64() == p.prr_width_clbs;
-    VAPRES_REQUIRE(rsb_match, "restore: RSB parameter mismatch");
-  }
-  const std::uint32_t n_rects = r.u32();
-  std::vector<fabric::ClbRect> saved_floorplan;
-  for (std::uint32_t i = 0; i < n_rects; ++i) {
-    fabric::ClbRect rect;
-    rect.row = static_cast<int>(r.i64());
-    rect.col = static_cast<int>(r.i64());
-    rect.height = static_cast<int>(r.i64());
-    rect.width = static_cast<int>(r.i64());
-    saved_floorplan.push_back(rect);
-  }
-
+  // Sections are applied in dependency order, not blob order.
   auto sys = std::make_unique<core::VapresSystem>(std::move(params),
                                                   std::move(library));
-  VAPRES_REQUIRE(sys->floorplan_ == saved_floorplan,
-                 "restore: PRR floorplan mismatch");
-
-  // ---- sim: read into locals now; the domain overlay is applied after
-  // the structural restore (socket CLK_sel writes retune PRR domains).
-  struct DomainState {
-    std::string name;
-    std::uint64_t period_ps = 0;
-    bool enabled = false;
-    std::uint64_t cycle_count = 0;
-    std::uint64_t anchor_ps = 0;
-  };
+  r.open_section("meta");
+  Fields::meta(r, *sys);
   r.open_section("sim");
-  const bool activity_driven = r.boolean();
-  const std::uint64_t saved_now = r.u64();
-  const std::uint32_t n_domains = r.u32();
-  std::vector<DomainState> domain_states;
-  for (std::uint32_t i = 0; i < n_domains; ++i) {
-    DomainState d;
-    d.name = r.str();
-    d.period_ps = r.u64();
-    d.enabled = r.boolean();
-    d.cycle_count = r.u64();
-    d.anchor_ps = r.u64();
-    domain_states.push_back(std::move(d));
-  }
-  sys->sim_.set_activity_driven(activity_driven);
+  Fields::kernel_mode(r, sys->sim_);
+  r.open_section("storage");
+  Fields::storage(r, *sys);
 
-  // ---- storage: replay into the fresh (empty) stores via public API.
-  {
-    r.open_section("storage");
-    const std::uint32_t n_cf = r.u32();
-    for (std::uint32_t i = 0; i < n_cf; ++i) {
-      const std::string name = r.str();
-      sys->cf_.store(name, get_bitstream());
-    }
-    const std::uint32_t n_arrays = r.u32();
-    for (std::uint32_t i = 0; i < n_arrays; ++i) {
-      const std::string key = r.str();
-      sys->sdram_->store(key, get_bitstream());
-    }
-  }
-
-  // ---- per-RSB structural + raw restore.
+  // Per-RSB structural + raw restore: module loads, socket writes, route
+  // re-establishment, then the switch-box overlay.
   for (int ri = 0; ri < sys->num_rsbs(); ++ri) {
     core::Rsb& rsb = sys->rsb(ri);
-    comm::SwitchFabric& fab = rsb.fabric();
-    const comm::SwitchBoxShape& sh = fab.shape();
-    r.open_section("rsb" + std::to_string(ri));
-
-    // Boxes are read first (section order) but applied last: channel
-    // establishment below programs mux selects, so the exact saved box
-    // state must overlay afterwards.
-    struct BoxState {
-      std::vector<comm::Flit> regs, regs_next, outputs;
-      std::vector<std::int64_t> selects;
-      std::vector<bool> stuck;
-      int stuck_events = 0;
-    };
-    VAPRES_REQUIRE(r.u32() == static_cast<std::uint32_t>(fab.num_boxes()),
-                   "restore: switch-box count mismatch");
-    std::vector<BoxState> box_states;
-    for (int b = 0; b < fab.num_boxes(); ++b) {
-      BoxState bs;
-      for (int i = 0; i < sh.num_inputs(); ++i) {
-        bs.regs.push_back(get_flit());
-        bs.regs_next.push_back(get_flit());
-      }
-      for (int o = 0; o < sh.num_outputs(); ++o) {
-        bs.selects.push_back(r.i64());
-        bs.outputs.push_back(get_flit());
-        bs.stuck.push_back(r.boolean());
-      }
-      bs.stuck_events = static_cast<int>(r.i64());
-      box_states.push_back(std::move(bs));
-    }
-
-    // IOMs: socket write first (it toggles interface enables), then
-    // overlay the raw source/sink state the write may have touched.
-    VAPRES_REQUIRE(r.u32() == static_cast<std::uint32_t>(rsb.num_ioms()),
-                   "restore: IOM count mismatch");
-    for (int ii = 0; ii < rsb.num_ioms(); ++ii) {
-      core::Iom& iom = rsb.iom(ii);
-      // Direct slave write (not via the DCR bus) so accesses_ stays flat.
-      iom.socket().dcr_write(r.u32());
-      iom.history_limit_ = r.u64();
-      get_fsl(*iom.fsl_to_mb_);
-      get_fsl(*iom.fsl_from_mb_);
-      VAPRES_REQUIRE(r.u32() ==
-                         static_cast<std::uint32_t>(iom.sources_.size()),
-                     "restore: IOM source count mismatch");
-      for (auto& s : iom.sources_) {
-        const bool has_generator = r.boolean();
-        VAPRES_REQUIRE(!has_generator || has_sched,
-                       "restore: live generator journaled without a "
-                       "scheduler section");
-        s.interval_cycles = static_cast<int>(r.i64());
-        s.next_emit_cycle = r.u64();
-        const bool has_pending = r.boolean();
-        const comm::Word pending_word = r.u32();
-        s.pending = has_pending ? std::optional<comm::Word>(pending_word)
-                                : std::nullopt;
-        s.words_emitted = r.u64();
-        s.stalls = r.u64();
-        get_producer(*s.interface);
-      }
-      VAPRES_REQUIRE(r.u32() == static_cast<std::uint32_t>(iom.sinks_.size()),
-                     "restore: IOM sink count mismatch");
-      for (auto& k : iom.sinks_) {
-        get_consumer(*k.interface);
-        k.received = get_words();
-        k.words_received = r.u64();
-        k.dropped = r.u64();
-        k.eos_seen = r.u64();
-        k.have_last_arrival = r.boolean();
-        k.last_arrival = r.u64();
-        k.max_gap = r.u64();
-      }
-    }
-
-    // PRRs: reload the module (configuration effect), replay the socket,
-    // then overlay wrapper/behaviour/interface raw state.
-    VAPRES_REQUIRE(r.u32() == static_cast<std::uint32_t>(rsb.num_prrs()),
-                   "restore: PRR count mismatch");
-    for (int pi = 0; pi < rsb.num_prrs(); ++pi) {
-      core::Prr& prr = rsb.prr(pi);
-      hwmodule::ModuleWrapper& wr = *prr.wrapper_;
-      const bool loaded = r.boolean();
-      const std::string loaded_module = r.str();
-      const int reconfigurations = static_cast<int>(r.i64());
-      const std::uint32_t socket_value = r.u32();
-      const std::uint8_t perf_select = r.u8();
-      if (loaded) {
-        prr.apply_bitstream(bitstream::PartialBitstream::create(
-                                loaded_module, prr.name(), prr.rect()),
-                            sys->library_);
-      }
-      // apply_bitstream bumped reconfigurations_ and set loaded_module_;
-      // overlay both after so the exact saved values win. A stale name on
-      // an unloaded wrapper (blank_prr leaves it) restores here too.
-      prr.loaded_module_ = loaded_module;
-      prr.reconfigurations_ = reconfigurations;
-      prr.socket().dcr_write(socket_value);
-      prr.perf_->dcr_write(perf_select);
-      wr.phase_ = static_cast<hwmodule::ModuleWrapper::Phase>(r.u8());
-      wr.in_reset_ = r.boolean();
-      wr.isolated_ = r.boolean();
-      wr.words_processed_ = r.u64();
-      wr.state_out_ = get_words();
-      wr.state_cursor_ = static_cast<std::size_t>(r.u64());
-      wr.load_remaining_ = static_cast<int>(r.i64());
-      wr.state_in_ = get_words();
-      if (loaded) {
-        const std::vector<comm::Word> state = get_words();
-        const std::vector<comm::Word> extra = get_words();
-        hwmodule::ModuleBehavior& b = *wr.behavior_;
-        if (!state.empty() || !b.save_state().empty()) {
-          b.restore_state(state);
-        }
-        if (!extra.empty() || !b.snapshot_extra().empty()) {
-          b.restore_extra(extra);
-        }
-      }
-      for (const auto& c : prr.consumers_) get_consumer(*c);
-      for (const auto& p : prr.producers_) get_producer(*p);
-      get_fsl(*prr.fsl_to_mb_);
-      get_fsl(*prr.fsl_from_mb_);
-    }
-
-    // Channels: re-establish each saved route under its original ids —
-    // replaying ChannelManager::establish could pick different lanes than
-    // the saved establish/release interleaving did.
-    core::ChannelManager& cm = rsb.channels();
-    const std::uint32_t n_channels = r.u32();
-    for (std::uint32_t i = 0; i < n_channels; ++i) {
-      const core::ChannelId id = r.u32();
-      comm::RouteSpec spec;
-      spec.producer_box = static_cast<int>(r.i64());
-      spec.producer_channel = static_cast<int>(r.i64());
-      spec.consumer_box = static_cast<int>(r.i64());
-      spec.consumer_channel = static_cast<int>(r.i64());
-      const std::uint32_t n_lanes = r.u32();
-      for (std::uint32_t l = 0; l < n_lanes; ++l) {
-        spec.lanes.push_back(static_cast<int>(r.i64()));
-      }
-      const comm::RouteId route_id = r.u32();
-      const auto policy = static_cast<comm::BackpressurePolicy>(r.u8());
-      fab.next_route_id_ = route_id;
-      const comm::RouteId got = fab.establish(spec, policy);
-      VAPRES_REQUIRE(got == route_id, "restore: route id diverged");
-      cm.channels_.emplace(id, core::ChannelManager::Entry{route_id, spec});
-      for (int seg = 0; seg < spec.segments(); ++seg) {
-        cm.lane_table(cm.physical_segment(spec, seg), spec.rightward())
-            [static_cast<std::size_t>(spec.lanes[static_cast<std::size_t>(
-                seg)])] = true;
-      }
-      cm.producers_used_.insert(
-          core::ChannelEndpoint{spec.producer_box, spec.producer_channel});
-      cm.consumers_used_.insert(
-          core::ChannelEndpoint{spec.consumer_box, spec.consumer_channel});
-      // Feedback-pipeline raw state (establish built it freshly cleared).
-      comm::SwitchFabric::FeedbackPipeline& fb =
-          *fab.routes_.at(route_id).feedback;
-      const std::uint32_t n_stages = r.u32();
-      VAPRES_REQUIRE(n_stages == fb.stages_.size(),
-                     "restore: feedback depth mismatch");
-      for (std::uint32_t st = 0; st < n_stages; ++st) {
-        fb.stages_[st] = r.boolean();
-      }
-      fb.output_ = r.boolean();
-    }
-    cm.next_id_ = r.u32();
-    fab.next_route_id_ = r.u32();
-
-    // Box overlay last: exact saved registers/selects/outputs win over
-    // whatever socket writes and route programming just did.
-    for (int b = 0; b < fab.num_boxes(); ++b) {
-      comm::SwitchBox& box = fab.box(b);
-      const BoxState& bs = box_states[static_cast<std::size_t>(b)];
-      for (int i = 0; i < sh.num_inputs(); ++i) {
-        box.regs_[static_cast<std::size_t>(i)] =
-            bs.regs[static_cast<std::size_t>(i)];
-        box.regs_next_[static_cast<std::size_t>(i)] =
-            bs.regs_next[static_cast<std::size_t>(i)];
-      }
-      for (int o = 0; o < sh.num_outputs(); ++o) {
-        box.selects_[static_cast<std::size_t>(o)] =
-            static_cast<int>(bs.selects[static_cast<std::size_t>(o)]);
-        box.outputs_[static_cast<std::size_t>(o)] =
-            bs.outputs[static_cast<std::size_t>(o)];
-        box.stuck_[static_cast<std::size_t>(o)] =
-            bs.stuck[static_cast<std::size_t>(o)];
-      }
-      box.stuck_events_ = bs.stuck_events;
-    }
+    const std::string name = "rsb" + std::to_string(ri);
+    r.open_section(name);
+    Fields::rsb(r, rsb, journaled, sys->library_);
+    r.open_section(name);
+    Fields::boxes(r, rsb.fabric());
   }
 
-  // ---- Clock-domain + global-time overlay (after socket CLK writes).
-  VAPRES_REQUIRE(domain_states.size() == sys->sim_.domains().size(),
-                 "restore: clock-domain count mismatch");
-  for (std::size_t i = 0; i < domain_states.size(); ++i) {
-    sim::ClockDomain& d = *sys->sim_.domains()[i];
-    const DomainState& s = domain_states[i];
-    VAPRES_REQUIRE(d.name_ == s.name, "restore: clock-domain order mismatch");
-    d.period_ps_ = s.period_ps;
-    d.enabled_ = s.enabled;
-    d.cycle_count_ = s.cycle_count;
-    d.anchor_ps_ = s.anchor_ps;
-  }
-  sys->sim_.now_ = saved_now;
-
-  // ---- MicroBlaze overlay + busy-wake re-arm.
-  {
-    proc::Microblaze& mb = *sys->mb_;
-    r.open_section("mb");
-    mb.busy_pending_ = r.u64();
-    mb.busy_anchored_ = r.boolean();
-    mb.busy_last_cycle_ = r.u64();
-    const bool wake_armed = r.boolean();
-    const std::uint64_t wake_delay = r.u64();
-    mb.total_busy_cycles_ = r.u64();
-    mb.interrupts_serviced_ = r.u64();
-    if (wake_armed) {
-      // Schedule at the absolute saved remaining delay; arm_busy_wake()
-      // assumes an edge-aligned "now", which restore time need not be.
-      proc::Microblaze* m = &mb;
-      mb.busy_wake_ = sys->sim_.schedule_after(wake_delay, [m] {
-        m->busy_wake_.reset();
-        m->wake();
-      });
-      mb.busy_wake_cycle_ = mb.busy_last_cycle_;
-    }
-  }
-
-  // ---- dcr / icap / reconfig overlay.
-  {
-    r.open_section("dcr");
-    sys->dcr_.accesses_ = r.u64();
-
-    r.open_section("icap");
-    VAPRES_REQUIRE(r.f64() == sys->icap_.port_clock_mhz_,
-                   "restore: ICAP port clock mismatch");
-    sys->icap_.total_bytes_ = r.i64();
-    sys->icap_.transfers_ = static_cast<int>(r.i64());
-    sys->icap_.corrupted_ = static_cast<int>(r.i64());
-    sys->icap_.timed_out_ = static_cast<int>(r.i64());
-
-    core::ReconfigManager& rc = *sys->reconfig_;
-    r.open_section("reconfig");
-    rc.verify_ = r.boolean();
-    rc.policy_.max_attempts = static_cast<int>(r.i64());
-    rc.policy_.backoff_base_cycles = r.u64();
-    rc.policy_.fallback_to_cf = r.boolean();
-    rc.last_.storage_cycles = r.f64();
-    rc.last_.icap_cycles = r.f64();
-    rc.completed_ = static_cast<int>(r.i64());
-    rc.retries_ = static_cast<int>(r.i64());
-    rc.fallbacks_ = static_cast<int>(r.i64());
-    rc.failures_ = static_cast<int>(r.i64());
-  }
-
-  // ---- bitman overlay.
-  {
-    bitman::BitstreamManager& bm = *sys->bitman_;
-    r.open_section("bitman");
-    bm.opt_.stage_on_miss = r.boolean();
-    bm.opt_.stream_chunk_bytes = r.i64();
-    bm.opt_.predict_next = r.boolean();
-    bm.stats_.hits = r.u64();
-    bm.stats_.misses = r.u64();
-    bm.stats_.streamed_misses = r.u64();
-    bm.stats_.evictions = r.u64();
-    bm.stats_.evicted_bytes = r.i64();
-    bm.stats_.staged = r.u64();
-    bm.stats_.replaced = r.u64();
-    bm.stats_.invalidations = r.u64();
-    bm.stats_.prefetch_issued = r.u64();
-    bm.stats_.prefetch_completed = r.u64();
-    bm.stats_.prefetch_cancelled = r.u64();
-    bm.stats_.prefetch_useful = r.u64();
-    bm.use_tick_ = r.u64();
-    const std::uint32_t n_entries = r.u32();
-    for (std::uint32_t i = 0; i < n_entries; ++i) {
-      const std::string key = r.str();
-      bitman::BitstreamManager::Entry e;
-      e.last_use = r.u64();
-      e.prefetched = r.boolean();
-      e.demand_hit_seen = r.boolean();
-      bm.entries_.emplace(key, e);
-    }
-    const std::uint32_t n_last = r.u32();
-    for (std::uint32_t i = 0; i < n_last; ++i) {
-      const std::string prr = r.str();
-      bm.last_module_[prr] = r.str();
-    }
-    const std::uint32_t n_next = r.u32();
-    for (std::uint32_t i = 0; i < n_next; ++i) {
-      const std::string prr = r.str();
-      const std::uint32_t n_inner = r.u32();
-      auto& table = bm.next_after_[prr];
-      for (std::uint32_t j = 0; j < n_inner; ++j) {
-        const std::string last = r.str();
-        table[last] = r.str();
-      }
-    }
-  }
-
-  // ---- fault injector overlay (process-wide hub).
-  {
-    sim::FaultInjector& fi = sim::FaultInjector::instance();
-    r.open_section("fault");
-    fi.enabled_ = r.boolean();
-    fi.rng_.set_state(r.u64());
-    for (auto& sp : fi.sites_) {
-      sp.probability = r.f64();
-      sp.armed_at = r.u64();
-      sp.armed_count = r.u64();
-      sp.opportunities = r.u64();
-      sp.injected = r.u64();
-    }
-    for (auto& rec : fi.recoveries_) rec = r.u64();
-  }
-
-  // ---- metrics registry overlay, last: earlier restore steps must not
-  // disturb the values (they don't touch the registry, but ordering makes
-  // that obvious). reset() keeps registrations and zeroes values; the
-  // blob only carries nonzero entries.
-  {
-    obs::Registry& reg = obs::Registry::instance();
-    reg.reset();
-    r.open_section("obs");
-    const std::uint32_t n_counters = r.u32();
-    for (std::uint32_t i = 0; i < n_counters; ++i) {
-      const std::string name = r.str();
-      reg.counter(name).add(r.u64());
-    }
-    const std::uint32_t n_gauges = r.u32();
-    for (std::uint32_t i = 0; i < n_gauges; ++i) {
-      const std::string name = r.str();
-      reg.gauge(name).set(r.i64());
-    }
-    const std::uint32_t n_hists = r.u32();
-    for (std::uint32_t i = 0; i < n_hists; ++i) {
-      obs::Histogram& h = reg.histogram(r.str());
-      for (auto& b : h.buckets_) b = r.u64();
-      h.count_ = r.u64();
-      h.sum_ = r.u64();
-      h.min_ = r.u64();
-      h.max_ = r.u64();
-    }
-  }
+  // Clocks and global time after the socket CLK writes retuned the PRR
+  // domains; the MicroBlaze busy wake is re-armed relative to that time.
+  r.open_section("sim");
+  Fields::clocks(r, sys->sim_);
+  r.open_section("mb");
+  Fields::microblaze(r, *sys->mb_, sys->sim_);
+  r.open_section("dcr");
+  Fields::dcr(r, sys->dcr_);
+  r.open_section("icap");
+  Fields::icap(r, sys->icap_);
+  r.open_section("reconfig");
+  Fields::reconfig(r, *sys->reconfig_);
+  r.open_section("bitman");
+  Fields::bitman_cache(r, *sys->bitman_);
+  r.open_section("fault");
+  Fields::faults(r, sim::FaultInjector::instance());
+  // Metrics last: no earlier step may disturb the restored values.
+  r.open_section("obs");
+  Fields::metrics(r);
 
   // ---- Wake everything: the first post-restore tick re-evaluates all
   // activity flags, so nothing sleeps through state it should act on.
@@ -1138,162 +957,41 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
 // scheduler restore (cold path, over a just-restored system)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct SchedJournal {
-  sched::ApplicationScheduler::Options opt;
-  int first_id = 0;
-  int preemptions = 0;
-  int defrag_migrations = 0;
-  int migration_rollbacks = 0;
-  int retired_admitted = 0;
-  int retired_admitted_after_defrag = 0;
-  int retired_admitted_after_preempt = 0;
-  int retired_rejected = 0;
-  struct Slot {
-    bool free = true;
-    int app_id = -1;
-    int chain_pos = -1;
-    std::string module_id;
-    int module_slices = 0;
-    bool migratable = false;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::vector<bool>> source_busy;
-  std::vector<std::vector<bool>> sink_busy;
-  struct Record {
-    sched::AppRecord rec;
-    bool generator_live = false;
-  };
-  std::vector<Record> records;
-};
-
-SchedJournal read_sched_section(const SnapshotReader& r) {
-  SchedJournal j;
-  r.open_section("sched");
-  j.opt.rsb_index = static_cast<int>(r.i64());
-  j.opt.policy = static_cast<sched::PlacementPolicy>(r.u8());
-  j.opt.enable_defrag = r.boolean();
-  j.opt.enable_preemption = r.boolean();
-  j.opt.max_defrag_migrations = static_cast<int>(r.i64());
-  j.opt.source = static_cast<core::ReconfigSource>(r.u8());
-  j.opt.prefetch_hints = r.boolean();
-  j.first_id = static_cast<int>(r.i64());
-  j.preemptions = static_cast<int>(r.i64());
-  j.defrag_migrations = static_cast<int>(r.i64());
-  j.migration_rollbacks = static_cast<int>(r.i64());
-  j.retired_admitted = static_cast<int>(r.i64());
-  j.retired_admitted_after_defrag = static_cast<int>(r.i64());
-  j.retired_admitted_after_preempt = static_cast<int>(r.i64());
-  j.retired_rejected = static_cast<int>(r.i64());
-  const std::uint32_t n_slots = r.u32();
-  for (std::uint32_t i = 0; i < n_slots; ++i) {
-    SchedJournal::Slot s;
-    s.free = r.boolean();
-    s.app_id = static_cast<int>(r.i64());
-    s.chain_pos = static_cast<int>(r.i64());
-    s.module_id = r.str();
-    s.module_slices = static_cast<int>(r.i64());
-    s.migratable = r.boolean();
-    j.slots.push_back(std::move(s));
-  }
-  const auto get_busy = [&r]() {
-    std::vector<std::vector<bool>> t;
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::vector<bool> row;
-      const std::uint32_t m = r.u32();
-      for (std::uint32_t k = 0; k < m; ++k) row.push_back(r.boolean());
-      t.push_back(std::move(row));
-    }
-    return t;
-  };
-  j.source_busy = get_busy();
-  j.sink_busy = get_busy();
-  const std::uint32_t n_records = r.u32();
-  for (std::uint32_t i = 0; i < n_records; ++i) {
-    SchedJournal::Record entry;
-    sched::AppRecord& rec = entry.rec;
-    rec.id = static_cast<int>(r.i64());
-    rec.request.name = r.str();
-    const std::uint32_t n_modules = r.u32();
-    for (std::uint32_t m = 0; m < n_modules; ++m) {
-      rec.request.modules.push_back(r.str());
-    }
-    rec.request.priority = static_cast<int>(r.i64());
-    rec.request.source_interval_cycles = static_cast<int>(r.i64());
-    rec.request.source_words = r.u64();
-    rec.state = static_cast<sched::AppState>(r.u8());
-    rec.verdict = static_cast<sched::AdmissionVerdict>(r.u8());
-    rec.reject_reason = r.str();
-    rec.source.iom = static_cast<int>(r.i64());
-    rec.source.channel = static_cast<int>(r.i64());
-    rec.sink.iom = static_cast<int>(r.i64());
-    rec.sink.channel = static_cast<int>(r.i64());
-    const std::uint32_t n_prrs = r.u32();
-    for (std::uint32_t p = 0; p < n_prrs; ++p) {
-      rec.prrs.push_back(static_cast<int>(r.i64()));
-    }
-    const std::uint32_t n_channels = r.u32();
-    for (std::uint32_t c = 0; c < n_channels; ++c) {
-      rec.channels.push_back(r.u32());
-    }
-    const std::uint32_t n_clocks = r.u32();
-    for (std::uint32_t c = 0; c < n_clocks; ++c) {
-      rec.clocks_mhz.push_back(r.f64());
-    }
-    rec.submitted_at = r.u64();
-    rec.launched_at = r.u64();
-    rec.stopped_at = r.u64();
-    rec.admission_mb_cycles = r.u64();
-    rec.base_words_emitted = r.u64();
-    rec.base_words_received = r.u64();
-    rec.final_words_in = r.u64();
-    rec.final_words_out = r.u64();
-    rec.migrations = static_cast<int>(r.i64());
-    entry.generator_live = r.boolean();
-    j.records.push_back(std::move(entry));
-  }
-  return j;
-}
-
-}  // namespace
-
 std::unique_ptr<sched::ApplicationScheduler> SystemSnapshot::restore_scheduler(
     const std::string& blob, core::VapresSystem& sys) {
   const SnapshotReader r(blob);
   VAPRES_REQUIRE(r.has_section("sched"),
                  "restore_scheduler: no scheduler section in snapshot");
-  const SchedJournal j = read_sched_section(r);
+  Fields::SchedJournal j = Fields::read_journal(r);
+  auto sched = Fields::scheduler_for(j, sys);
 
-  auto sched = std::make_unique<sched::ApplicationScheduler>(sys, j.opt);
-  sched->first_id_ = j.first_id;
-  sched->preemptions_ = j.preemptions;
-  sched->defrag_migrations_ = j.defrag_migrations;
-  sched->migration_rollbacks_ = j.migration_rollbacks;
-  sched->retired_admitted_ = j.retired_admitted;
-  sched->retired_admitted_after_defrag_ = j.retired_admitted_after_defrag;
-  sched->retired_admitted_after_preempt_ = j.retired_admitted_after_preempt;
-  sched->retired_rejected_ = j.retired_rejected;
-
-  VAPRES_REQUIRE(static_cast<int>(j.slots.size()) == sched->map_.num_slots(),
-                 "restore_scheduler: fabric-map size mismatch");
   for (std::size_t p = 0; p < j.slots.size(); ++p) {
-    const SchedJournal::Slot& s = j.slots[p];
+    const sched::PrrSlot& s = j.slots[p];
     if (!s.free) {
       sched->map_.occupy(static_cast<int>(p), s.app_id, s.chain_pos,
                          s.module_id, s.module_slices, s.migratable);
     }
   }
-  sched->source_busy_ = j.source_busy;
-  sched->sink_busy_ = j.sink_busy;
+  const auto same_shape = [](const std::vector<std::vector<bool>>& a,
+                             const std::vector<std::vector<bool>>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size()) return false;
+    }
+    return true;
+  };
+  VAPRES_REQUIRE(same_shape(j.source_busy, sched->source_busy_) &&
+                     same_shape(j.sink_busy, sched->sink_busy_),
+                 "restore: IOM channel-busy table shape mismatch");
+  sched->source_busy_ = std::move(j.source_busy);
+  sched->sink_busy_ = std::move(j.sink_busy);
 
   // Re-install each running app's counting source generator with its
   // remaining word budget — the exact closure the scheduler installs at
   // launch, resumed at word n0. Assigned directly (not via
   // set_source_generator, which would reset pending/next_emit_cycle).
   core::Rsb& rsb = sys.rsb(j.opt.rsb_index);
-  for (const SchedJournal::Record& entry : j.records) {
+  for (const Fields::SchedJournal::Record& entry : j.records) {
     sched->apps_.push_back(entry.rec);
     if (entry.rec.running() && entry.generator_live) {
       const sched::AppRecord& rec = entry.rec;
@@ -1323,85 +1021,39 @@ WarmRestart SystemSnapshot::warm_restart(const std::string& blob,
   WarmRestart out;
   VAPRES_REQUIRE(r.has_section("sched"),
                  "warm_restart: no scheduler journal in snapshot");
-  const SchedJournal j = read_sched_section(r);
+  const Fields::SchedJournal j = Fields::read_journal(r);
+  auto sched = Fields::scheduler_for(j, sys);
 
   // ---- Switch journal (optional): read before reconciling so adopted
   // apps can map journaled channel ids across a completed re-route.
-  struct SwitchJournal {
-    core::SwitchRequest req;
-    core::ModuleSwitcher::State state = core::ModuleSwitcher::State::kIdle;
-    core::ModuleSwitcher::Timeline timeline;
-    bool reconfig_ok = true;
-    std::vector<comm::Word> collected_state;
-    std::vector<comm::Word> monitoring;
-    bool saw_header = false;
-    int expected_words = -1;
-    core::ChannelId new_upstream = 0;
-    core::ChannelId new_downstream = 0;
-  };
-  std::optional<SwitchJournal> sw;
+  std::unique_ptr<core::ModuleSwitcher> sw;
   if (r.has_section("switch")) {
-    SwitchJournal s;
+    core::SwitchRequest req;
     r.open_section("switch");
-    s.req.rsb_index = static_cast<int>(r.i64());
-    s.req.src_prr = static_cast<int>(r.i64());
-    s.req.dst_prr = static_cast<int>(r.i64());
-    s.req.new_module_id = r.str();
-    s.req.upstream = r.u32();
-    s.req.downstream = r.u32();
-    s.req.eos_iom = static_cast<int>(r.i64());
-    s.req.source = static_cast<core::ReconfigSource>(r.u8());
-    s.state = static_cast<core::ModuleSwitcher::State>(r.u8());
-    s.timeline.started = r.u64();
-    s.timeline.reconfig_done = r.u64();
-    s.timeline.input_rerouted = r.u64();
-    s.timeline.state_collected = r.u64();
-    s.timeline.module_initialized = r.u64();
-    s.timeline.iom_eos_seen = r.u64();
-    s.timeline.completed = r.u64();
-    s.timeline.aborted = r.u64();
-    const bool reconfig_complete = r.boolean();
-    (void)reconfig_complete;  // resume sets it per protocol state
-    s.reconfig_ok = r.boolean();
-    const auto get_words = [&r]() {
-      std::vector<comm::Word> v;
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.u32());
-      return v;
-    };
-    s.collected_state = get_words();
-    s.monitoring = get_words();
-    s.saw_header = r.boolean();
-    s.expected_words = static_cast<int>(r.i64());
-    s.new_upstream = r.u32();
-    s.new_downstream = r.u32();
-    sw = std::move(s);
+    Fields::switch_request(r, req);
+    const int prrs = sys.rsb(req.rsb_index).num_prrs();
+    VAPRES_REQUIRE(req.src_prr >= 0 && req.src_prr < prrs &&
+                       req.dst_prr >= 0 && req.dst_prr < prrs,
+                   "restore: switch journal names a PRR the fabric lacks");
+    sw = std::make_unique<core::ModuleSwitcher>(sys, std::move(req));
+    r.open_section("switch");
+    Fields::switcher(r, *sw);
   }
 
   // Channel substitution: a crash after a re-route leaves journaled app
   // records naming the pre-switch channel while the fabric carries the
   // re-routed one.
   std::map<core::ChannelId, core::ChannelId> subst;
-  if (sw.has_value()) {
-    if (sw->new_upstream != 0) subst[sw->req.upstream] = sw->new_upstream;
-    if (sw->new_downstream != 0) {
-      subst[sw->req.downstream] = sw->new_downstream;
+  if (sw != nullptr) {
+    if (sw->new_upstream_ != 0) subst[sw->req_.upstream] = sw->new_upstream_;
+    if (sw->new_downstream_ != 0) {
+      subst[sw->req_.downstream] = sw->new_downstream_;
     }
   }
 
-  // ---- Fresh scheduler over the live fabric; adopt matching records.
-  auto sched = std::make_unique<sched::ApplicationScheduler>(sys, j.opt);
-  sched->first_id_ = j.first_id;
-  sched->preemptions_ = j.preemptions;
-  sched->defrag_migrations_ = j.defrag_migrations;
-  sched->migration_rollbacks_ = j.migration_rollbacks;
-  sched->retired_admitted_ = j.retired_admitted;
-  sched->retired_admitted_after_defrag_ = j.retired_admitted_after_defrag;
-  sched->retired_admitted_after_preempt_ = j.retired_admitted_after_preempt;
-  sched->retired_rejected_ = j.retired_rejected;
-
+  // ---- Adopt the records that match the live fabric.
   core::Rsb& rsb = sys.rsb(j.opt.rsb_index);
-  for (const SchedJournal::Record& entry : j.records) {
+  for (const Fields::SchedJournal::Record& entry : j.records) {
     sched::AppRecord rec = entry.rec;
     if (!rec.running()) {
       sched->apps_.push_back(std::move(rec));
@@ -1434,10 +1086,11 @@ WarmRestart SystemSnapshot::warm_restart(const std::string& blob,
       }
     }
     if (match) {
+      // The fabric survived, so a live generator closure is still running
+      // inside its IOM — nothing to re-install on warm restart.
       for (std::size_t pos = 0; pos < rec.prrs.size(); ++pos) {
         const int p = rec.prrs[pos];
-        const SchedJournal::Slot& slot =
-            j.slots[static_cast<std::size_t>(p)];
+        const sched::PrrSlot& slot = j.slots[static_cast<std::size_t>(p)];
         // Journaled slot metadata for this PRR, keyed by the owning app.
         if (!slot.free && slot.app_id == rec.id) {
           sched->map_.occupy(p, slot.app_id, slot.chain_pos, slot.module_id,
@@ -1464,26 +1117,19 @@ WarmRestart SystemSnapshot::warm_restart(const std::string& blob,
       out.report.notes.push_back("downgraded app " + std::to_string(rec.id) +
                                  ": " + why);
     }
-    const bool adopted = match;
-    const bool generator_live = entry.generator_live;
     sched->apps_.push_back(std::move(rec));
-    if (adopted && generator_live) {
-      // The fabric survived, so the generator closure is already running
-      // inside the live IOM — nothing to re-install on warm restart.
-      (void)generator_live;
-    }
   }
 
   // ---- In-flight switch: resume from the journaled step, or roll back.
-  if (sw.has_value()) {
+  if (sw != nullptr) {
     using St = core::ModuleSwitcher::State;
-    core::Rsb& srsb = sys.rsb(sw->req.rsb_index);
-    if (sw->state == St::kReconfiguring) {
+    core::Rsb& srsb = sys.rsb(sw->req_.rsb_index);
+    if (sw->state_ == St::kReconfiguring) {
       // The crash interrupted step 3: the new module is still outside the
       // processing path (no channel moved yet), so rollback is the safe
       // default — let any in-flight PR land, then discard its effect.
       sys.drain_transfer_path();
-      core::Prr& dst = srsb.prr(sw->req.dst_prr);
+      core::Prr& dst = srsb.prr(sw->req_.dst_prr);
       if (dst.wrapper().loaded()) dst.wrapper().unload();
       dst.loaded_module_.clear();
       const comm::DcrValue clear_bits =
@@ -1497,32 +1143,22 @@ WarmRestart SystemSnapshot::warm_restart(const std::string& blob,
       out.report.switch_rolled_back = true;
       out.report.notes.push_back(
           "rolled back in-flight switch (crashed during PR of " +
-          sw->req.new_module_id + ")");
-    } else if (sw->state == St::kDone || sw->state == St::kAborted ||
-               sw->state == St::kIdle) {
+          sw->req_.new_module_id + ")");
+    } else if (sw->state_ == St::kDone || sw->state_ == St::kAborted ||
+               sw->state_ == St::kIdle) {
       out.report.notes.push_back("journaled switch already terminal");
     } else {
-      // Steps 4-9: the PR completed before the crash; rebuild an
-      // equivalent in-flight switcher and let it finish the protocol.
-      auto resumed = std::make_unique<core::ModuleSwitcher>(sys, sw->req);
-      resumed->state_ = sw->state;
-      resumed->timeline_ = sw->timeline;
-      resumed->reconfig_complete_ = true;
-      resumed->reconfig_ok_ = sw->reconfig_ok;
-      resumed->collected_state_ = sw->collected_state;
-      resumed->monitoring_ = sw->monitoring;
-      resumed->saw_header_ = sw->saw_header;
-      resumed->expected_words_ = sw->expected_words;
-      resumed->new_upstream_ = sw->new_upstream;
-      resumed->new_downstream_ = sw->new_downstream;
-      resumed->obs_track_ = obs::EventBus::instance().track(
-          srsb.prr(sw->req.src_prr).name() + ".switch");
-      resumed->enter_step(step_code_for(sw->state));
-      sys.mb().add_task(resumed.get());
+      // Steps 4-9: the PR completed before the crash; the journaled
+      // switcher finishes the protocol.
+      sw->reconfig_complete_ = true;
+      sw->obs_track_ = obs::EventBus::instance().track(
+          srsb.prr(sw->req_.src_prr).name() + ".switch");
+      sw->enter_step(step_code_for(sw->state_));
+      sys.mb().add_task(sw.get());
       out.report.switch_resumed = true;
       out.report.notes.push_back("resumed in-flight switch at step " +
-                                 std::to_string(step_code_for(sw->state)));
-      out.switcher = std::move(resumed);
+                                 std::to_string(step_code_for(sw->state_)));
+      out.switcher = std::move(sw);
     }
   }
 

@@ -96,6 +96,10 @@ class SystemSnapshot {
                                   core::VapresSystem& sys);
 
  private:
+  /// The per-component field lists save and restore share
+  /// (system_snapshot.cpp).
+  struct Fields;
+
   SystemSnapshot() = default;
 };
 

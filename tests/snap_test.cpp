@@ -1,7 +1,8 @@
 // Checkpoint/restore subsystem (snap/): byte-determinism of cold
 // restore, warm-restart reconciliation against a live fabric, resume/
 // rollback of an in-flight 9-step module switch from every journaled
-// step, and corrupt-blob rejection (ctest label: snap).
+// step, corrupt-blob rejection, reader hardening against single-byte
+// edits, and byte-layout pins (ctest label: snap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +13,11 @@
 #include "core/stats.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
+#include "load/soak.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/check.hpp"
+#include "sim/fault.hpp"
 #include "snap/format.hpp"
 #include "snap/system_snapshot.hpp"
 
@@ -520,6 +523,159 @@ INSTANTIATE_TEST_SUITE_P(
                       core::ModuleSwitcher::State::kWaitIomEos,
                       core::ModuleSwitcher::State::kQuiesceSrc,
                       core::ModuleSwitcher::State::kRerouteDownstream));
+
+// ---- reader hardening ------------------------------------------------------
+
+/// Copies every section of `blob`, with byte `offset` of section `target`
+/// set to 0xFF, into a fresh blob — digests recomputed, so the edit gets
+/// past the container checks and reaches the section parsers.
+std::string with_byte_set(const std::string& blob, const std::string& target,
+                          std::size_t offset) {
+  const SnapshotReader r(blob);
+  SnapshotWriter w(r.epoch());
+  for (const std::string& name : r.section_names()) {
+    r.open_section(name);
+    w.begin_section(name);
+    for (std::size_t i = 0; r.remaining() > 0; ++i) {
+      const std::uint8_t b = r.u8();
+      w.u8(name == target && i == offset ? 0xFF : b);
+    }
+    w.end_section();
+  }
+  return w.finish();
+}
+
+std::size_t section_size(const std::string& blob, const std::string& name) {
+  const SnapshotReader r(blob);
+  r.open_section(name);
+  return r.remaining();
+}
+
+// Every single-byte edit of the scheduler journal and of the RSB fabric
+// state must either restore or be refused with ModelError: no crash, no
+// other exception (an unchecked index or an unbounded count would be one).
+TEST(SnapHardening, SingleByteEditsRestoreOrThrowModelError) {
+  obs::Registry::instance().reset();
+  core::VapresSystem sys(quad_params());
+  sys.bring_up_all_sites();
+  // Bounded sink histories keep the RSB section (and the sweep) small.
+  for (int i = 0; i < sys.rsb(0).num_ioms(); ++i) {
+    sys.rsb(0).iom(i).set_received_history_limit(16);
+  }
+  sched::ApplicationScheduler sched(sys);
+  const int live = sched.submit(make_app("live", {"gain_x2"}, 4, 0));
+  const int done = sched.submit(make_app("done", {"passthrough"}, 4, 16));
+  sched.run_admission();
+  ASSERT_TRUE(sched.app(live).running());
+  ASSERT_TRUE(sched.app(done).running());
+  sys.run_system_cycles(400);
+  quiesce(sys);
+  const std::string blob = SystemSnapshot::save(sys, 1, &sched);
+
+  const auto attempt = [](const char* step, const std::string& section,
+                          std::size_t offset, const auto& fn) {
+    try {
+      fn();
+      return true;
+    } catch (const ModelError&) {
+      return false;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << step << ": " << section << " byte " << offset
+                    << " threw a non-ModelError: " << e.what();
+      return false;
+    }
+  };
+  for (const std::string section : {"sched", "rsb0"}) {
+    const std::size_t n = section_size(blob, section);
+    ASSERT_GT(n, 0u);
+    int refused = 0;
+    for (std::size_t offset = 0; offset < n; ++offset) {
+      const std::string edited = with_byte_set(blob, section, offset);
+      std::unique_ptr<core::VapresSystem> restored;
+      if (!attempt("restore_system", section, offset, [&] {
+            restored = SystemSnapshot::restore_system(edited, quad_params());
+          })) {
+        ++refused;
+        continue;
+      }
+      refused += !attempt("restore_scheduler", section, offset, [&] {
+        SystemSnapshot::restore_scheduler(edited, *restored);
+      });
+      refused += !attempt("warm_restart", section, offset, [&] {
+        SystemSnapshot::warm_restart(edited, *restored);
+      });
+    }
+    // The sweep reached the parsers: some edits must be refused.
+    EXPECT_GT(refused, 0) << section;
+  }
+}
+
+// ---- layout pins -----------------------------------------------------------
+
+// Size and FNV-1a digest of three reference blobs. The byte layout is a
+// compatibility contract with every stored snapshot: changing a constant
+// here requires bumping SnapshotWriter::kVersion.
+struct LayoutPin {
+  std::size_t size;
+  std::uint64_t digest;
+};
+
+void expect_pinned(const std::string& blob, LayoutPin pin) {
+  EXPECT_EQ(blob.size(), pin.size);
+  EXPECT_EQ(fnv1a(blob.data(), blob.size()), pin.digest)
+      << std::hex << "digest 0x" << fnv1a(blob.data(), blob.size());
+}
+
+/// Process-wide state a blob carries (metrics registry, fault injector)
+/// back to a fixed start, so the pins do not depend on earlier tests.
+void reset_process_state() {
+  obs::Registry::instance().reset();
+  sim::FaultInjector::instance().enable(0);
+  sim::FaultInjector::instance().disable();
+}
+
+TEST(SnapLayout, ColdBlobWithSchedulerIsPinned) {
+  reset_process_state();
+  core::VapresSystem sys(quad_params());
+  sys.bring_up_all_sites();
+  sched::ApplicationScheduler sched(sys);
+  sched.submit(make_app("finite", {"gain_x2"}, 4, 5000));
+  sched.submit(make_app("done", {"passthrough"}, 4, 32));
+  sched.submit(make_app("endless", {"ma8", "gain_half"}, 8, 0));
+  sched.run_admission();
+  sys.run_system_cycles(2000);
+  quiesce(sys);
+  expect_pinned(SystemSnapshot::save(sys, 7, &sched),
+                {30453, 0xc71dc2df063c1ee6ULL});
+}
+
+TEST(SnapLayout, WarmBlobWithSwitchIsPinned) {
+  reset_process_state();
+  SwitchRig rig;
+  core::ModuleSwitcher sw(*rig.sys, rig.request());
+  sw.begin();
+  ASSERT_TRUE(
+      rig.run_to_state(sw, core::ModuleSwitcher::State::kCollectState));
+  const std::string blob =
+      SystemSnapshot::save(*rig.sys, 9, rig.sched.get(), &sw);
+  rig.sys->mb().remove_task(&sw);
+  ASSERT_TRUE(SystemSnapshot::has_switch(blob));
+  expect_pinned(blob, {3003786, 0x83638158c1ae7987ULL});
+}
+
+TEST(SnapLayout, SoakResumeBlobIsPinned) {
+  reset_process_state();
+  std::string blob;
+  load::SoakOptions opt;
+  opt.lifetimes = 96;
+  opt.seed = 3;
+  opt.snapshot_at = 48;
+  opt.snapshot_out = &blob;
+  opt.stop_at_snapshot = true;
+  load::run_soak(opt);
+  ASSERT_FALSE(blob.empty());
+  expect_pinned(blob, {39079, 0xb42c34f3f5c23103ULL});
+}
 
 }  // namespace
 }  // namespace vapres::snap
