@@ -1,7 +1,7 @@
 #include "core/scrubber.hpp"
 
+#include "obs/bus.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace vapres::core {
 
@@ -23,6 +23,11 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
 
   ++scans_;
   auto& faults = sim::FaultInjector::instance();
+  // The repaired PRR's or box's bus track, named only when it is recorded.
+  auto track_of = [](const std::string& name) -> std::uint32_t {
+    auto& bus = obs::EventBus::instance();
+    return bus.enabled(obs::Subsystem::kFault) ? bus.track(name) : 0;
+  };
   sim::Cycles charged = 0;
   for (int r = 0; r < sys_.num_rsbs(); ++r) {
     Rsb& rsb = sys_.rsb(r);
@@ -34,11 +39,9 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
       if (faults.enabled() &&
           faults.should_fire(sim::FaultSite::kConfigFrameUpset)) {
         ++frame_repairs_;
-        faults.note_recovery(sim::RecoveryEvent::kScrubRepair);
+        faults.note_recovery(sim::RecoveryEvent::kScrubRepair,
+                             track_of(rsb.prr(p).name()));
         charged += kRewriteCyclesPerFrame;
-        VAPRES_TRACE_INFO(sys_.sim().now(), "scrubber",
-                          "frame upset in " << rsb.prr(p).name()
-                                            << "; frame rewritten");
       }
     }
     // Mux scan: a stuck switch-box output is a flipped MUX_sel bit in
@@ -50,11 +53,10 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
         if (!box.output_stuck(port)) continue;
         box.repair_output(port);
         ++mux_repairs_;
-        faults.note_recovery(sim::RecoveryEvent::kScrubRepair);
+        faults.note_recovery(sim::RecoveryEvent::kScrubRepair,
+                             track_of(box.name()),
+                             static_cast<std::uint64_t>(port));
         charged += kRewriteCyclesPerFrame;
-        VAPRES_TRACE_INFO(sys_.sim().now(), "scrubber",
-                          box.name() << " output " << port
-                                     << " stuck; mux frame rewritten");
       }
     }
   }

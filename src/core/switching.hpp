@@ -129,8 +129,9 @@ class ModuleSwitcher final : public proc::SoftwareTask {
 
   /// Closes the current step span (feeding its MicroBlaze-cycle duration
   /// to the per-step registry histogram) and opens the next one. Each of
-  /// the nine protocol states is one named span on this switcher's track.
-  void enter_step(std::uint16_t code);
+  /// the nine protocol states is one named span on this switcher's track
+  /// (arg0 = destination PRR, arg1 = a step-specific count).
+  void enter_step(std::uint16_t code, std::uint64_t arg1 = 0);
   void close_step();
 
   VapresSystem& sys_;

@@ -182,14 +182,15 @@ void EventBus::publish_gauges() const {
 }
 
 Span Span::begin(Subsystem s, std::uint16_t code, std::uint32_t track,
-                 sim::Picoseconds now, std::uint64_t arg0) {
+                 sim::Picoseconds now, std::uint64_t arg0,
+                 std::uint64_t arg1) {
   Span span;
   span.subsystem_ = s;
   span.code_ = code;
   span.track_ = track;
   span.begin_ps_ = now;
   span.open_ = true;
-  EventBus::instance().begin_span(s, code, track, now, arg0);
+  EventBus::instance().begin_span(s, code, track, now, arg0, arg1);
   return span;
 }
 

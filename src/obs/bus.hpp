@@ -1,7 +1,6 @@
 // The structured event-tracing bus.
 //
-// Process-wide hub (mirroring sim::Trace, which it supersedes for
-// structured data) collecting typed obs::Event records into a bounded
+// Process-wide hub collecting typed obs::Event records into a bounded
 // power-of-two ring buffer. Disabled — the default — every emit call is
 // one mask load and branch; no allocation, no string formatting, no
 // ring traffic. Enabled, an emit is a couple of stores into the ring;
@@ -128,7 +127,8 @@ class Span {
   Span() = default;
 
   static Span begin(Subsystem s, std::uint16_t code, std::uint32_t track,
-                    sim::Picoseconds now, std::uint64_t arg0 = 0);
+                    sim::Picoseconds now, std::uint64_t arg0 = 0,
+                    std::uint64_t arg1 = 0);
 
   /// Emits the end record and returns the duration. `cycles` (when
   /// >= 0) is recorded into `hist` instead of the picosecond duration —

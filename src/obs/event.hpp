@@ -67,8 +67,10 @@ enum : std::uint16_t {
   kCfStream = 3,
   kCf2Array = 4,
   kRetry = 5,            ///< instant: attempt repeated after backoff
+                         ///< (arg0 = attempt, arg1 = backoff cycles)
   kSourceFallback = 6,   ///< instant: SDRAM source abandoned for CF
-  kPermanentFailure = 7, ///< instant: transfer gave up
+                         ///< (arg0 = attempts spent on it)
+  kPermanentFailure = 7, ///< instant: transfer gave up (arg0 = attempts)
 };
 
 // kSwitch: the nine protocol steps of Figure 5, each a span. The paper
@@ -113,7 +115,9 @@ enum : std::uint16_t {
 // kFault
 enum : std::uint16_t {
   kInject = 1,   ///< instant: a fault fired (arg0 = FaultSite)
-  kRecover = 2,  ///< instant: a recovery was reported (arg0 = RecoveryEvent)
+  kRecover = 2,  ///< instant: a recovery was reported (arg0 =
+                 ///< RecoveryEvent, arg1 = stuck output port of a
+                 ///< scrubbed mux; on the repaired PRR's or box's track)
 };
 
 // kProc

@@ -115,10 +115,6 @@ class ClockDomain {
   /// to keep replays bit-identical).
   void tick();
 
-  /// Credits one edge without delivering it (whole domain asleep and the
-  /// edge lands exactly on the current instant).
-  void skip_edge(Picoseconds now);
-
   /// Analytically credits the edges a sleeping domain would have received
   /// up to `until` (inclusive of an edge exactly at `until` when
   /// `inclusive`). No-op unless the domain is enabled, non-empty, and
@@ -132,12 +128,9 @@ class ClockDomain {
   /// allows sleeping.
   void poll_quiescence();
 
-  void note_wake(Clocked* component);
+  /// Counts one sleeping component re-armed (Clocked::wake()).
+  void note_wake();
   void compact();
-
-  /// Rebuilds awake_idx_ (slot indices of awake components, ascending) so
-  /// a tick over a mostly-asleep domain costs O(awake), not O(attached).
-  void rebuild_awake_cache();
 
   /// Re-anchors the edge schedule to the current simulation time (set by
   /// the owning Simulator; valid for the domain's whole lifetime).
@@ -158,13 +151,6 @@ class ClockDomain {
   int live_count_ = 0;  // non-null slots in components_
   bool ticking_ = false;
   bool pending_compaction_ = false;
-  // Slot indices of awake components, ascending — the tick fast path.
-  // Invalidated by any activity-set change; a wake landing mid-tick
-  // degrades the in-flight passes to full visit-time-flag scans so
-  // delivery order stays identical to the uncached kernel.
-  std::vector<std::size_t> awake_idx_;
-  bool cache_valid_ = false;
-  bool woke_in_tick_ = false;
   KernelStats stats_;
 };
 

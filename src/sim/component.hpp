@@ -17,7 +17,6 @@
 // unaware components on every edge.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace vapres::sim {
@@ -59,9 +58,6 @@ class Clocked {
 
   ClockDomain* domain_ = nullptr;
   bool active_ = true;
-  // Index of this component's slot in its domain's component list, kept
-  // current whenever the domain's awake-index cache is valid.
-  std::size_t slot_ = 0;
 };
 
 /// Latches `next` into `wire`, a signal another component samples by raw

@@ -97,11 +97,12 @@ bool FaultInjector::should_fire(FaultSite site) {
   return fire;
 }
 
-void FaultInjector::note_recovery(RecoveryEvent event) {
+void FaultInjector::note_recovery(RecoveryEvent event, std::uint32_t track,
+                                  std::uint64_t detail) {
   ++recoveries_[event_index(event)];
-  obs::EventBus::instance().instant(
-      obs::Subsystem::kFault, obs::ev::kRecover, /*track=*/0, now(),
-      static_cast<std::uint64_t>(event), recoveries_[event_index(event)]);
+  obs::EventBus::instance().instant(obs::Subsystem::kFault, obs::ev::kRecover,
+                                    track, now(),
+                                    static_cast<std::uint64_t>(event), detail);
 }
 
 std::uint64_t FaultInjector::injected(FaultSite site) const {

@@ -1,10 +1,10 @@
 // Deterministic fault injection.
 //
-// A process-wide hub (mirroring sim::Trace) that components query at
-// named fault sites: the ICAP asks whether the in-flight bitstream was
-// corrupted or the transfer timed out, FIFOs ask whether a pushed word
-// is dropped or duplicated, switch boxes whether an output mux went
-// stuck, the scrubber whether a configured frame took an upset. All
+// A process-wide hub that components query at named fault sites: the
+// ICAP asks whether the in-flight bitstream was corrupted or the
+// transfer timed out, FIFOs ask whether a pushed word is dropped or
+// duplicated, switch boxes whether an output mux went stuck, the
+// scrubber whether a configured frame took an upset. All
 // decisions come from one SplitMix64 stream plus per-site deterministic
 // "armed" windows (fire on exactly the Nth..N+k-1th opportunity), so a
 // run is bit-for-bit reproducible from its seed: same seed, same event
@@ -79,8 +79,12 @@ class FaultInjector {
   /// RNG, so targeted tests stay independent of probabilistic draws.
   bool should_fire(FaultSite site);
 
-  /// Recovery scoreboard, reported by the self-healing subsystems.
-  void note_recovery(RecoveryEvent event);
+  /// Recovery scoreboard, reported by the self-healing subsystems. The
+  /// EventBus `recover` instant lands on `track` (where the recovery
+  /// happened; 0 = "main") and carries `detail` as arg1 (the output port
+  /// of a scrubbed stuck mux).
+  void note_recovery(RecoveryEvent event, std::uint32_t track = 0,
+                     std::uint64_t detail = 0);
 
   /// Wires the simulation clock used to stamp inject/recover events on
   /// the obs::EventBus. The pointer must stay valid until cleared (the

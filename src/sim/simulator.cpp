@@ -71,7 +71,7 @@ void Simulator::deliver_at(Picoseconds t) {
     if (!d->enabled() || d->components_.empty()) continue;
     if (d->next_edge(now_) != now_) continue;
     if (d->active_count_ == 0 && !d->exhaustive()) {
-      d->skip_edge(now_);
+      d->fast_forward(now_, /*inclusive=*/true);  // credits this one edge
     } else {
       d->tick();
       d->anchor_ps_ = now_;

@@ -11,6 +11,7 @@
 //      stream outputs, fabric wires, and processor accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -289,6 +290,102 @@ TEST(Quiescence, BoxOffTheRouteSleepsWhileARouteStreams) {
   EXPECT_FALSE(rig.fabric->box(3).awake());
   EXPECT_FALSE(rig.consumer(3).awake());
   EXPECT_FALSE(rig.domain->asleep());
+}
+
+// ---------------------------------------------- mid-tick wake, sparse
+// A domain holding many sleepers per awake component, where one commit
+// wakes two sleepers. Activity flags are read at visit time: the sleeper
+// in a later slot gets that very cycle's commit, the one in an earlier
+// slot its first edge on the next cycle — the cycles at which the
+// exhaustive kernel's edges start to have an effect on each.
+
+/// Latches its input wire in commit and logs the cycles it changed.
+class Sampler final : public Clocked {
+ public:
+  explicit Sampler(const ClockDomain& d) : domain_(d) {}
+  int wire = 0;  ///< driven by a Pulser
+  std::vector<Cycles> changes;
+  void eval() override {}
+  void commit() override {
+    if (wire == latched_) return;
+    latched_ = wire;
+    changes.push_back(domain_.cycle_count());
+  }
+  bool quiescent() const override { return wire == latched_; }
+
+ private:
+  const ClockDomain& domain_;
+  int latched_ = 0;
+};
+
+/// Always awake; drives a new value into every sampler at `pulses`.
+class Pulser final : public Clocked {
+ public:
+  Pulser(const ClockDomain& d, std::vector<Sampler*> readers,
+         std::vector<Cycles> pulses)
+      : domain_(d), readers_(std::move(readers)), pulses_(std::move(pulses)) {}
+  void eval() override {}
+  void commit() override {
+    if (std::find(pulses_.begin(), pulses_.end(), domain_.cycle_count()) ==
+        pulses_.end()) {
+      return;
+    }
+    ++value_;
+    for (Sampler* r : readers_) sim::drive(r->wire, value_, r);
+  }
+
+ private:
+  const ClockDomain& domain_;
+  std::vector<Sampler*> readers_;
+  std::vector<Cycles> pulses_;
+  int value_ = 0;
+};
+
+struct SparseWakeRun {
+  std::vector<Cycles> early;  ///< change cycles of the earlier-slot sleeper
+  std::vector<Cycles> late;   ///< change cycles of the later-slot sleeper
+  std::uint64_t edges_skipped = 0;
+};
+
+SparseWakeRun run_sparse_wake(bool activity,
+                              const std::vector<Cycles>& pulses) {
+  Simulator sim;
+  sim.set_activity_driven(activity);
+  auto& d = sim.create_domain("clk", 100.0);
+  Sampler early(d);
+  Sampler late(d);
+  Pulser pulser(d, {&early, &late}, pulses);
+  std::vector<std::unique_ptr<Idler>> fillers;
+  auto attach_fillers = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      fillers.push_back(std::make_unique<Idler>());
+      fillers.back()->idle = true;
+      d.attach(fillers.back().get());
+    }
+  };
+  // One awake component among ten sleepers.
+  d.attach(&early);
+  attach_fillers(4);
+  d.attach(&pulser);
+  d.attach(&late);
+  attach_fillers(4);
+  sim.run_cycles(d, 200);
+  return {early.changes, late.changes, d.kernel_stats().edges_skipped};
+}
+
+TEST(Quiescence, MidTickWakeInSparseDomainKeepsVisitOrder) {
+  // 21 lands while both samplers are still awake from 20's pulse; the
+  // others find them asleep since the last quiescence poll.
+  const std::vector<Cycles> pulses{20, 21, 50, 100};
+  const SparseWakeRun fast = run_sparse_wake(true, pulses);
+  const SparseWakeRun ref = run_sparse_wake(false, pulses);
+  std::vector<Cycles> next_cycle;
+  for (Cycles p : pulses) next_cycle.push_back(p + 1);
+  EXPECT_EQ(fast.late, pulses);
+  EXPECT_EQ(fast.early, next_cycle);
+  EXPECT_GT(fast.edges_skipped, 0u);  // the sleepers really slept
+  EXPECT_EQ(fast.early, ref.early);
+  EXPECT_EQ(fast.late, ref.late);
 }
 
 // ------------------------------------------------- run_until / run_for

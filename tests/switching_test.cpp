@@ -3,13 +3,14 @@
 // interruption"), and the halt-and-reconfigure baseline for contrast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "baseline/naive_switch.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
 #include "fabric/frame.hpp"
-#include "sim/trace.hpp"
+#include "obs/bus.hpp"
 
 namespace vapres::core {
 namespace {
@@ -226,10 +227,13 @@ TEST(Switching, CompatibleDifferentModulesSwapCleanly) {
 }
 
 TEST(Switching, EmitsTraceRecordsForEveryMilestone) {
-  std::vector<sim::TraceRecord> records;
-  sim::Trace::instance().set_level(sim::TraceLevel::kInfo);
-  sim::Trace::instance().set_sink(
-      [&records](const sim::TraceRecord& r) { records.push_back(r); });
+  struct SwitchLane {
+    SwitchLane() {
+      obs::EventBus::instance().enable(
+          obs::EventBus::bit(obs::Subsystem::kSwitch));
+    }
+    ~SwitchLane() { obs::EventBus::instance().disable(); }
+  } lane;
 
   SwitchRig rig("passthrough", "offset_100");
   rig.iom().set_source_generator(
@@ -240,14 +244,34 @@ TEST(Switching, EmitsTraceRecordsForEveryMilestone) {
   ModuleSwitcher sw(*rig.sys, rig.request("offset_100"));
   ASSERT_TRUE(rig.run_switch(sw));
 
-  sim::Trace::instance().clear_sink();
-  sim::Trace::instance().set_level(sim::TraceLevel::kOff);
-
+  const std::vector<obs::Event> records = obs::EventBus::instance().snapshot();
+  auto has = [&](obs::EventKind kind, std::uint16_t step) {
+    return std::any_of(records.begin(), records.end(),
+                       [&](const obs::Event& e) {
+                         return e.kind == kind && e.code == step;
+                       });
+  };
   ASSERT_GE(records.size(), 6u);
-  EXPECT_EQ(records.front().tag, "switcher");
-  EXPECT_NE(records.front().message.find("step 3"), std::string::npos);
-  EXPECT_NE(records.back().message.find("switch complete"),
-            std::string::npos);
+  // Step 3 (reconfigure the spare PRR) opens the protocol; the output
+  // re-route closing step 9 completes it.
+  EXPECT_EQ(records.front().kind, obs::EventKind::kBegin);
+  EXPECT_EQ(records.front().code, obs::ev::kStep1Reconfigure);
+  EXPECT_EQ(records.back().kind, obs::EventKind::kEnd);
+  EXPECT_EQ(records.back().code, obs::ev::kStep9RerouteDownstream);
+  // PR complete, input re-routed, state collected, new module initialized.
+  EXPECT_TRUE(has(obs::EventKind::kEnd, obs::ev::kStep1Reconfigure));
+  EXPECT_TRUE(has(obs::EventKind::kEnd, obs::ev::kStep3RerouteUpstream));
+  EXPECT_TRUE(has(obs::EventKind::kEnd, obs::ev::kStep5CollectState));
+  EXPECT_TRUE(has(obs::EventKind::kEnd, obs::ev::kStep6InitNewModule));
+  EXPECT_FALSE(has(obs::EventKind::kInstant, obs::ev::kSwitchRollback));
+  // The initialisation step carries the collected state-word count.
+  for (const obs::Event& e : records) {
+    EXPECT_EQ(e.subsystem, obs::Subsystem::kSwitch);
+    if (e.kind == obs::EventKind::kBegin &&
+        e.code == obs::ev::kStep6InitNewModule) {
+      EXPECT_EQ(e.arg1, sw.collected_state().size());
+    }
+  }
   // Timestamps are monotone simulation times.
   for (std::size_t i = 1; i < records.size(); ++i) {
     EXPECT_GE(records[i].time_ps, records[i - 1].time_ps);
