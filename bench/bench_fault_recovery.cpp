@@ -39,8 +39,8 @@ struct Result {
   int retries = 0;
   int fallbacks = 0;
   /// Kernel edge accounting for the whole run. While the injector is
-  /// armed the kernel delivers exhaustively (docs/SIMULATOR.md), so the
-  /// skipped count comes from the warm-up and drain phases only.
+  /// armed the switch boxes never sleep (docs/SIMULATOR.md §5), so the
+  /// static domain never coasts until the drain.
   sim::KernelStats kernel;
 };
 
@@ -136,8 +136,8 @@ void print_tables() {
                 static_cast<unsigned long long>(ks.domain_sleeps),
                 static_cast<unsigned long long>(ks.component_wakes));
   };
-  std::printf("\n--- kernel edge accounting (armed injector forces "
-              "exhaustive delivery; see docs/SIMULATOR.md) ---\n");
+  std::printf("\n--- kernel edge accounting (armed injector keeps the "
+              "switch boxes awake; see docs/SIMULATOR.md) ---\n");
   print_kernel("k=0", clean.kernel);
   print_kernel("k=4", worst.kernel);
 

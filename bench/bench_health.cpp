@@ -43,8 +43,8 @@ namespace {
 using namespace vapres;
 
 /// standard_fleet with a fault-storm slice carved out of the steady
-/// phase. Armed injection forces every fabric's kernel exhaustive
-/// (cycle-by-cycle, no event skipping), so the storm is kept short and
+/// phase. Armed injection keeps every fabric's switch boxes awake, so
+/// their static domains never coast and the storm is kept short and
 /// dense: ~1/8 of the steady submissions at 10x the arrival rate, on
 /// the small-footprint class mix the single-fabric soak's storm uses.
 load::ScenarioSpec storm_scenario(std::uint64_t seed, std::uint64_t lifetimes,

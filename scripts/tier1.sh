@@ -110,7 +110,7 @@ print(f"trace OK: {len(events)} events, all 9 switch steps present")
 EOF
 
 echo
-echo "=== tier-1: sched/soak/fleet/snap/health/simkernel tests under address,undefined ==="
+echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/fault tests under address,undefined ==="
 # The soak smoke (soak_test, ~10^3 lifetimes, including the
 # agent-crash-churn fleet run), the fleet router tests (fleet_test:
 # cross-fabric migration rollback, master adoption, quota preemption,
@@ -126,12 +126,16 @@ echo "=== tier-1: sched/soak/fleet/snap/health/simkernel tests under address,und
 # The kernel lockstep tests (simkernel_test) ride along too: fabric wires
 # hold raw reader pointers into feedback pipelines that release()
 # destroys, and a reader left registered is a use-after-free only ASan
-# reports.
+# reports. The fault-label tests (fuzz, ICAP, injection, bitman,
+# switching faults) ride along for the same reason: the injector keeps
+# raw pointers to every live switch box (its per-commit sites), and a
+# box left registered past its destruction is one too.
 cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
-  fleet_test statedb_test snap_test health_test simkernel_test
-ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health|simkernel' \
-  --output-on-failure
+  fleet_test statedb_test snap_test health_test simkernel_test fuzz_test \
+  icap_test fault_injection_test bitman_test switching_fault_test
+ctest --test-dir "$SAN_BUILD" \
+  -L 'sched|soak|fleet|snap|health|simkernel|fault' --output-on-failure
 
 echo
 echo "tier-1: all green"

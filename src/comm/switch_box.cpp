@@ -19,6 +19,11 @@ SwitchBox::SwitchBox(std::string name, SwitchBoxShape shape)
   outputs_.assign(selects_.size(), kIdleFlit);
   readers_.assign(selects_.size(), nullptr);
   stuck_.assign(selects_.size(), false);
+  sim::FaultInjector::instance().add_commit_site(this);
+}
+
+SwitchBox::~SwitchBox() {
+  sim::FaultInjector::instance().remove_commit_site(this);
 }
 
 void SwitchBox::check_input(int port) const {
@@ -109,6 +114,7 @@ int SwitchBox::stuck_output_count() const {
 }
 
 bool SwitchBox::quiescent() const {
+  if (sim::FaultInjector::instance().enabled()) return false;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const Flit in = sources_[i] != nullptr ? *sources_[i] : kIdleFlit;
     if (!(in == regs_[i])) return false;
@@ -131,14 +137,21 @@ void SwitchBox::eval() {
 
 void SwitchBox::commit() {
   regs_ = regs_next_;
+  constexpr auto kSite = sim::FaultSite::kSwitchBoxStuckPort;
   auto& faults = sim::FaultInjector::instance();
-  const bool injecting = faults.enabled();
+  bool draw = faults.enabled();
+  if (draw && !faults.live(kSite)) {
+    // No output can go stuck on this commit: count every non-stuck
+    // output's opportunity at once instead of asking per port.
+    faults.count_dead(kSite, static_cast<std::uint64_t>(
+                                 shape_.num_outputs() - stuck_output_count()));
+    draw = false;
+  }
   // Output muxes are combinational over the (just latched) input
   // registers; materialize them so downstream eval() reads this cycle's
   // values next cycle — one register of latency per box, as in the RTL.
   for (std::size_t p = 0; p < outputs_.size(); ++p) {
-    if (injecting && !stuck_[p] &&
-        faults.should_fire(sim::FaultSite::kSwitchBoxStuckPort)) {
+    if (draw && !stuck_[p] && faults.should_fire(kSite)) {
       stuck_[p] = true;
       ++stuck_events_;
     }

@@ -44,6 +44,9 @@ struct SwitchBoxShape {
 class SwitchBox final : public sim::Clocked {
  public:
   SwitchBox(std::string name, SwitchBoxShape shape);
+  ~SwitchBox() override;
+  SwitchBox(const SwitchBox&) = delete;
+  SwitchBox& operator=(const SwitchBox&) = delete;
 
   std::string name() const override { return name_; }
   const SwitchBoxShape& shape() const { return shape_; }
@@ -77,10 +80,12 @@ class SwitchBox final : public sim::Clocked {
   void park_all_outputs();
 
   // -- Fault state (kSwitchBoxStuckPort site) ---------------------------
-  // With injection enabled, each commit is an opportunity per output for
-  // the mux to go stuck: the output register latches its current flit and
-  // ignores the select until repaired (configuration-memory upset in the
-  // MUX_sel bits). Repair is a frame rewrite — the scrubber's job.
+  // With injection enabled, each commit is an opportunity per non-stuck
+  // output for the mux to go stuck: the output register latches its
+  // current flit and ignores the select until repaired (configuration-
+  // memory upset in the MUX_sel bits). Repair is a frame rewrite — the
+  // scrubber's job. The box is the injector's one per-commit site: it is
+  // registered for its lifetime and never sleeps while injection is on.
   bool output_stuck(int port) const;
   void repair_output(int port);
   int stuck_output_count() const;
@@ -93,6 +98,8 @@ class SwitchBox final : public sim::Clocked {
   /// output already equals its mux selection: further edges are no-ops
   /// until a source changes — and every source's writer wakes this box
   /// when it does (the fabric registers the box as each source's reader).
+  /// Never while injection is enabled: every commit is then an
+  /// opportunity the injector must count.
   bool quiescent() const override;
 
  private:

@@ -75,11 +75,12 @@ ScenarioSpec ScenarioSpec::standard(std::uint64_t seed,
   };
   const std::uint64_t warmup = lifetimes / 20;        // 5%
   const std::uint64_t bursty = (lifetimes * 3) / 10;  // 30%
-  // Armed fault injection forces the kernel exhaustive (docs/SIMULATOR.md
-  // section 5), so each storm launch simulates its multi-million-cycle
-  // PR transfer edge by edge. A dozen storm lifetimes give the
-  // self-healing path plenty of opportunities; scaling the phase with
-  // the lifetime budget would just scale wall time.
+  // Armed fault injection keeps every switch box awake (docs/SIMULATOR.md
+  // section 5), so each storm launch ticks the boxes through its
+  // multi-million-cycle PR transfer edge by edge. A dozen storm
+  // lifetimes give the self-healing path plenty of opportunities;
+  // scaling the phase with the lifetime budget would just scale wall
+  // time.
   const std::uint64_t churn = lifetimes / 5;          // 20%
   const std::uint64_t storm =
       std::min({lifetimes - warmup - bursty - churn,
@@ -106,8 +107,8 @@ ScenarioSpec ScenarioSpec::standard(std::uint64_t seed,
   Phase storm_phase = phase("fault-storm", Arrivals::kPoisson, 2.5e6, storm);
   storm_phase.icap_fault_probability = 0.02;
   // Small-footprint classes only (see Phase::class_weights): the storm
-  // runs on the exhaustive kernel, and a small site's bitstream costs
-  // a third of a big one's per launch.
+  // keeps the switch boxes awake, and a small site's bitstream costs a
+  // third of a big one's per launch.
   storm_phase.class_weights = {2.0, 2.0, 2.0, 1.5, 0.0, 0.0, 0.0};
   s.phases.push_back(storm_phase);
   Phase churn_phase = phase("churn", Arrivals::kPoisson, 1.5e6, churn);
@@ -137,8 +138,8 @@ ScenarioSpec ScenarioSpec::standard_fleet(std::uint64_t seed,
     p.submissions = n;
     return p;
   };
-  // No fault-storm phase: armed injection forces every fabric's kernel
-  // exhaustive, and a fleet multiplies that wall-time cost by N.
+  // No fault-storm phase: armed injection keeps every fabric's switch
+  // boxes awake, and a fleet multiplies that wall-time cost by N.
   const std::uint64_t warmup = lifetimes / 20;        // 5%
   const std::uint64_t bursty = (lifetimes * 3) / 10;  // 30%
   const std::uint64_t churn = lifetimes / 4;          // 25%

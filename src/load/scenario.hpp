@@ -83,8 +83,8 @@ struct Phase {
   /// Per-phase class-mix override: when non-empty must have one weight
   /// per spec class (0 = class never drawn this phase). Empty uses the
   /// global class weights. Fault-storm phases use this to stay on the
-  /// small-footprint classes: injection forces the kernel exhaustive,
-  /// so storm cost scales with the bitstreams configured under it.
+  /// small-footprint classes: injection keeps every switch box awake, so
+  /// storm cost scales with the bitstreams configured under it.
   std::vector<double> class_weights;
 };
 
@@ -104,8 +104,8 @@ struct ScenarioSpec {
   /// scaled so the whole scenario submits exactly `lifetimes` apps.
   static ScenarioSpec standard(std::uint64_t seed, std::uint64_t lifetimes);
 
-  /// The fleet soak scenario: multi-tenant, no fault storm (fleet runs
-  /// stay on the activity-driven kernel), with a closing
+  /// The fleet soak scenario: multi-tenant, no fault storm (a storm keeps
+  /// every fabric's switch boxes awake), with a closing
   /// migration-churn phase that pairs submissions with cross-fabric
   /// moves. Interarrival means are divided by `num_fabrics` so an
   /// N-fabric fleet sees N fabrics' worth of offered load.

@@ -416,8 +416,8 @@ SoakResult run_soak(const SoakOptions& opt) {
   }
 
   // The storm ends with its phase's last submission; disarm before the
-  // drain so the multi-M-cycle advances to the remaining departures run
-  // on the activity-driven kernel, not the exhaustive one.
+  // drain so the switch boxes may sleep through the multi-M-cycle
+  // advances to the remaining departures.
   if (storm_on) {
     injector.disable();
     storm_on = false;

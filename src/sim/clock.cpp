@@ -4,7 +4,6 @@
 
 #include "obs/bus.hpp"
 #include "sim/check.hpp"
-#include "sim/fault.hpp"
 
 namespace vapres::sim {
 
@@ -106,7 +105,7 @@ Picoseconds ClockDomain::next_edge(Picoseconds /*now*/) const {
 }
 
 bool ClockDomain::exhaustive() const {
-  return !activity_driven_ || FaultInjector::instance().enabled();
+  return !activity_driven_;
 }
 
 void ClockDomain::note_wake() {
@@ -126,8 +125,7 @@ void ClockDomain::note_wake() {
 void ClockDomain::tick() {
   const bool run_all = exhaustive();
   if (run_all && active_count_ < live_count_) {
-    // Exhaustive delivery (reference mode or fault injection armed, whose
-    // per-commit RNG draws must all happen): re-arm everything, so the
+    // Exhaustive delivery (the reference mode): re-arm everything, so the
     // passes below deliver to every component and the activity flags are
     // conservative when quiescence-aware delivery resumes.
     for (Clocked* c : components_) {

@@ -110,9 +110,9 @@ class ClockDomain {
 
   /// Delivers one rising edge: eval pass, then commit pass, then (every
   /// few cycles) the quiescence poll. Skips sleeping components unless
-  /// running exhaustively (activity-driven off, or fault injection armed —
-  /// injection draws RNG per commit opportunity, so every commit must run
-  /// to keep replays bit-identical).
+  /// running exhaustively. Fault injection does not change the mode: the
+  /// one per-commit fault site (a switch box's muxes) keeps its boxes
+  /// awake itself while injection is enabled.
   void tick();
 
   /// Analytically credits the edges a sleeping domain would have received
@@ -121,7 +121,8 @@ class ClockDomain {
   /// fully asleep.
   void fast_forward(Picoseconds until, bool inclusive);
 
-  /// Whether every component must be ticked regardless of activity flags.
+  /// Whether every component must be ticked regardless of activity flags:
+  /// only in the exhaustive reference mode (activity-driven off).
   bool exhaustive() const;
 
   /// Post-tick sweep: deactivates components whose quiescent() report

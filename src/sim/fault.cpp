@@ -1,9 +1,11 @@
 #include "sim/fault.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/bus.hpp"
 #include "sim/check.hpp"
+#include "sim/component.hpp"
 
 namespace vapres::sim {
 
@@ -63,6 +65,22 @@ void FaultInjector::enable(std::uint64_t seed) {
   sites_.fill(SitePlan{});
   recoveries_.fill(0);
   enabled_ = true;
+  wake_commit_sites();
+}
+
+void FaultInjector::add_commit_site(Clocked* site) {
+  VAPRES_REQUIRE(site != nullptr, "null per-commit fault site");
+  commit_sites_.push_back(site);
+}
+
+void FaultInjector::remove_commit_site(Clocked* site) {
+  commit_sites_.erase(
+      std::remove(commit_sites_.begin(), commit_sites_.end(), site),
+      commit_sites_.end());
+}
+
+void FaultInjector::wake_commit_sites() {
+  for (Clocked* c : commit_sites_) c->wake();
 }
 
 void FaultInjector::set_probability(FaultSite site, double p) {

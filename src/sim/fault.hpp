@@ -11,6 +11,12 @@
 // order, same counters. Disabled (the default) every hook is a single
 // inline branch; no RNG state advances and no counters move.
 //
+// Most sites draw per unit of traffic (a transfer, a push, a scrub pass),
+// which is the same whichever kernel delivers the edges. The one site that
+// draws per commit — a switch box's output muxes — registers its boxes
+// here: they stay awake while injection is enabled, and enable() wakes
+// them, so they never sleep through an opportunity (docs/SIMULATOR.md §7).
+//
 // The hub is also the recovery scoreboard: the subsystems that heal
 // (reconfiguration retry/fallback, switcher rollback, scrubber repair)
 // report here so core::collect_stats can show faults next to recoveries.
@@ -19,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -28,6 +35,8 @@ class SystemSnapshot;
 }
 
 namespace vapres::sim {
+
+class Clocked;
 
 /// Named fault sites, one per hook wired into the model.
 enum class FaultSite : int {
@@ -58,7 +67,8 @@ class FaultInjector {
   static FaultInjector& instance() { return instance_; }
 
   /// Arms injection: resets the RNG to `seed` and clears every plan and
-  /// counter, so two enable(seed) runs replay identically.
+  /// counter, so two enable(seed) runs replay identically. Wakes every
+  /// registered per-commit site.
   void enable(std::uint64_t seed);
 
   /// Stops injection. Counters stay readable until the next enable().
@@ -78,6 +88,30 @@ class FaultInjector {
   /// fault fires there. Armed windows are checked first and consume no
   /// RNG, so targeted tests stay independent of probabilistic draws.
   bool should_fire(FaultSite site);
+
+  /// Whether an opportunity at `site`, from the next one on, may still
+  /// fire: a nonzero probability, or an armed window not yet passed (the
+  /// same overflow-safe window test as should_fire()).
+  bool live(FaultSite site) const {
+    const SitePlan& s = sites_[static_cast<std::size_t>(site)];
+    if (s.probability > 0.0) return true;
+    const std::uint64_t opp = s.opportunities;
+    return s.armed_count > 0 &&
+           (opp < s.armed_at || opp - s.armed_at < s.armed_count);
+  }
+
+  /// Counts `n` opportunities at a site that cannot fire (!live(site)) in
+  /// one step: the counters n should_fire() calls would leave, without
+  /// drawing.
+  void count_dead(FaultSite site, std::uint64_t n) {
+    sites_[static_cast<std::size_t>(site)].opportunities += n;
+  }
+
+  /// Registers a component that calls should_fire() on every commit. It
+  /// must report non-quiescent while injection is enabled, and unregister
+  /// before it is destroyed.
+  void add_commit_site(Clocked* site);
+  void remove_commit_site(Clocked* site);
 
   /// Recovery scoreboard, reported by the self-healing subsystems. The
   /// EventBus `recover` instant lands on `track` (where the recovery
@@ -119,11 +153,15 @@ class FaultInjector {
 
   Picoseconds now() const { return now_ != nullptr ? *now_ : 0; }
 
+  /// Re-arms every per-commit site; called whenever injection turns on.
+  void wake_commit_sites();
+
   bool enabled_ = false;
   const Picoseconds* now_ = nullptr;
   SplitMix64 rng_{};
   std::array<SitePlan, kNumFaultSites> sites_{};
   std::array<std::uint64_t, kNumRecoveryEvents> recoveries_{};
+  std::vector<Clocked*> commit_sites_;
 
   static FaultInjector instance_;
 };

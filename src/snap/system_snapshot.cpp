@@ -537,6 +537,13 @@ struct SystemSnapshot::Fields {
       ar.u64(sp.injected);
     }
     for (auto& rec : fi.recoveries_) ar.u64(rec);
+    // A restored enabled injector must wake the per-commit sites of every
+    // live system, not only the one being restored (which is woken whole
+    // afterwards): a box asleep on another fabric would otherwise miss
+    // its opportunities.
+    if constexpr (Ar::kLoading) {
+      if (fi.enabled_) fi.wake_commit_sites();
+    }
   }
 
   // ---- obs: the process-wide metrics registry. Only nonzero values are

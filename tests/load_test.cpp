@@ -224,9 +224,9 @@ TEST(FaultStorm, StormPhaseArmsTheInjectorAndLeavesItDisabled) {
   // the live reconfiguration path), and the injector must be off again
   // when run_soak returns.
   load::SoakOptions opt;
-  // Armed injection forces the exhaustive kernel (docs/SIMULATOR.md §5),
-  // so every cycle under the storm is ticked edge-by-edge: keep the
-  // arrivals tight and the count tiny or this test runs in minutes.
+  // Armed injection keeps the switch boxes awake (docs/SIMULATOR.md §5),
+  // so every cycle under the storm ticks them: keep the arrivals tight
+  // and the count tiny or this test runs in minutes.
   opt.seed = 17;
   opt.lifetimes = 3;
   load::ScenarioSpec spec;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "comm/module_interface.hpp"
+#include "core/scrubber.hpp"
 #include "core/stats.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/fault.hpp"
@@ -448,7 +449,7 @@ TEST(RunFor, IdleSystemStillAdvancesToDeadline) {
 
 core::SystemParams small_params() {
   core::SystemParams p = core::SystemParams::prototype();
-  p.rsbs[0].prr_width_clbs = 4;  // small PRRs keep reconfiguration fast
+  p.rsbs[0].prr_width_clbs = 2;  // small PRRs keep reconfiguration fast
   return p;
 }
 
@@ -484,16 +485,70 @@ std::string digest_of(core::VapresSystem& sys) {
   return os.str();
 }
 
+/// Fault storms the stream scenario can run under.
+enum class Storm {
+  kNone,
+  kEarly,  ///< enabled before the stream starts
+  kLate,   ///< enabled after the stream drained and every box slept
+};
+
+/// Arms all six fault sites with windows, and with probabilities that keep
+/// every per-traffic site live. The stuck-port site also draws per port on
+/// odd seeds; on even seeds it goes dead once its window passes, so its
+/// opportunities are counted a box at a time.
+void arm_storm(sim::FaultInjector& fi, std::uint64_t seed) {
+  using sim::FaultSite;
+  // The first transfer is both corrupted and timed out; a retry heals it.
+  fi.arm(FaultSite::kIcapBitstreamCorruption, 0);
+  fi.set_probability(FaultSite::kIcapBitstreamCorruption, 0.05);
+  fi.arm(FaultSite::kIcapTransferTimeout, 0);
+  fi.set_probability(FaultSite::kIcapTransferTimeout, 0.05);
+  fi.arm(FaultSite::kFifoDropWord, 5, 2);
+  fi.set_probability(FaultSite::kFifoDropWord, 0.002);
+  fi.arm(FaultSite::kFifoDuplicateWord, 17);
+  fi.set_probability(FaultSite::kFifoDuplicateWord, 0.002);
+  // Opportunities count from enable(): a few thousand commits in, inside
+  // the active phase; the scrubber repairs the stuck muxes.
+  fi.arm(FaultSite::kSwitchBoxStuckPort, 2000 + 97 * seed, 2);
+  if (seed % 2 == 1) fi.set_probability(FaultSite::kSwitchBoxStuckPort, 5e-6);
+  fi.arm(FaultSite::kConfigFrameUpset, 1);
+  fi.set_probability(FaultSite::kConfigFrameUpset, 0.1);
+}
+
+/// Every site's counters and the recovery scoreboard.
+std::string fault_digest() {
+  const sim::FaultInjector& fi = sim::FaultInjector::instance();
+  std::ostringstream os;
+  for (int i = 0; i < sim::kNumFaultSites; ++i) {
+    const auto site = static_cast<sim::FaultSite>(i);
+    os << "fault " << sim::fault_site_name(site)
+       << " opportunities=" << fi.opportunities(site)
+       << " injected=" << fi.injected(site) << "\n";
+    EXPECT_GT(fi.injected(site), 0u) << sim::fault_site_name(site);
+  }
+  os << "recoveries=" << fi.total_recoveries() << "\n";
+  EXPECT_GT(fi.recoveries(sim::RecoveryEvent::kIcapRetry), 0u);
+  EXPECT_GT(fi.recoveries(sim::RecoveryEvent::kScrubRepair), 0u);
+  return os.str();
+}
+
 /// Common scenario body: a module streaming between the IOM's source and
 /// sink channels, with optional seeded perturbations (LCD retunes, clock
-/// gating) applied as scheduled events, and an idle-heavy tail.
+/// gating) applied as scheduled events, and an idle-heavy tail. Under a
+/// storm a scrubber runs and PRR 1 is reconfigured with injection on, so
+/// every site sees opportunities.
 std::string run_stream_scenario(std::uint64_t seed, bool activity,
-                                bool arm_faults, bool lcd_changes,
-                                bool gating) {
+                                Storm storm, bool lcd_changes, bool gating) {
   std::optional<sim::ScopedFaultInjection> faults;
   core::VapresSystem sys(small_params());
   sys.sim().set_activity_driven(activity);
   sys.bring_up_all_sites();
+  core::ScrubberTask scrub(sys, /*period_cycles=*/1500);
+  const auto start_storm = [&] {
+    faults.emplace(seed);
+    arm_storm(sim::FaultInjector::instance(), seed);
+    scrub.start();
+  };
 
   sim::SplitMix64 rng(seed);
   const char* modules[] = {"passthrough", "gain_x2", "offset_100"};
@@ -536,13 +591,26 @@ std::string run_stream_scenario(std::uint64_t seed, bool activity,
       });
     }
   }
-  if (arm_faults) faults.emplace(seed);
+  if (storm == Storm::kEarly) start_storm();
 
   // Active phase, then a long idle tail (the quiescence-heavy part).
   sys.run_system_cycles(4000 + rng.next_below(2000));
+  if (storm == Storm::kEarly) sys.reconfigure_now(0, 1, "gain_x2");
   sys.rsb().iom(0).stop_source();
   sys.run_system_cycles(20000);
-  return digest_of(sys);
+  if (storm == Storm::kLate) {
+    comm::SwitchFabric& fabric = sys.rsb().fabric();
+    for (int b = 0; activity && b < fabric.num_boxes(); ++b) {
+      EXPECT_FALSE(fabric.box(b).awake()) << "box " << b << " never slept";
+    }
+    start_storm();
+    sys.reconfigure_now(0, 1, "gain_x2");
+    sys.rsb().iom(0).set_source_data(data, interval);
+    sys.run_system_cycles(20000);
+  }
+  std::string digest = digest_of(sys);
+  if (storm != Storm::kNone) digest += fault_digest();
+  return digest;
 }
 
 /// Scheduler churn: submissions, admissions, stops, and resubmissions of
@@ -613,43 +681,56 @@ TEST(Lockstep, StreamingIdleHeavy) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     expect_lockstep(
         "stream seed " + std::to_string(seed),
-        run_stream_scenario(seed, true, false, false, false),
-        run_stream_scenario(seed, false, false, false, false));
+        run_stream_scenario(seed, true, Storm::kNone, false, false),
+        run_stream_scenario(seed, false, Storm::kNone, false, false));
   }
 }
 
 TEST(Lockstep, FaultInjectionArmed) {
-  // With the injector enabled the kernel falls back to exhaustive
-  // delivery (every commit is an RNG draw opportunity); the digests must
-  // still match the reference exactly.
+  // A storm on all six sites. Injection does not change the kernel mode:
+  // the switch boxes, the one per-commit site, stay awake themselves, so
+  // every opportunity count, RNG draw and recovery must match the
+  // exhaustive reference exactly.
   for (std::uint64_t seed = 6; seed <= 10; ++seed) {
-    expect_lockstep("fault seed " + std::to_string(seed),
-                    run_stream_scenario(seed, true, true, false, false),
-                    run_stream_scenario(seed, false, true, false, false));
+    expect_lockstep(
+        "fault seed " + std::to_string(seed),
+        run_stream_scenario(seed, true, Storm::kEarly, false, false),
+        run_stream_scenario(seed, false, Storm::kEarly, false, false));
+  }
+}
+
+TEST(Lockstep, FaultInjectionEnabledAfterBoxesSlept) {
+  // enable() must wake every sleeping box, or they miss stuck-port
+  // opportunities the reference counts.
+  for (std::uint64_t seed = 27; seed <= 28; ++seed) {
+    expect_lockstep(
+        "late fault seed " + std::to_string(seed),
+        run_stream_scenario(seed, true, Storm::kLate, false, false),
+        run_stream_scenario(seed, false, Storm::kLate, false, false));
   }
 }
 
 TEST(Lockstep, LcdFrequencyChanges) {
   for (std::uint64_t seed = 11; seed <= 15; ++seed) {
     expect_lockstep("lcd seed " + std::to_string(seed),
-                    run_stream_scenario(seed, true, false, true, false),
-                    run_stream_scenario(seed, false, false, true, false));
+                    run_stream_scenario(seed, true, Storm::kNone, true, false),
+                    run_stream_scenario(seed, false, Storm::kNone, true, false));
   }
 }
 
 TEST(Lockstep, ClockGating) {
   for (std::uint64_t seed = 16; seed <= 20; ++seed) {
     expect_lockstep("gating seed " + std::to_string(seed),
-                    run_stream_scenario(seed, true, false, false, true),
-                    run_stream_scenario(seed, false, false, false, true));
+                    run_stream_scenario(seed, true, Storm::kNone, false, true),
+                    run_stream_scenario(seed, false, Storm::kNone, false, true));
   }
 }
 
 TEST(Lockstep, EverythingAtOnce) {
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     expect_lockstep("combined seed " + std::to_string(seed),
-                    run_stream_scenario(seed, true, true, true, true),
-                    run_stream_scenario(seed, false, true, true, true));
+                    run_stream_scenario(seed, true, Storm::kEarly, true, true),
+                    run_stream_scenario(seed, false, Storm::kEarly, true, true));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,69 @@ TEST(Snap, StatsAndMetricsRoundTrip) {
   EXPECT_EQ(before.bitcache.evictions, after.bitcache.evictions);
   EXPECT_EQ(before.bitcache.prefetch_issued, after.bitcache.prefetch_issued);
   EXPECT_EQ(before.bitcache.prefetch_useful, after.bitcache.prefetch_useful);
+}
+
+// ---- restore with injection enabled ----------------------------------------
+
+/// Runs system B around a restore of system A. B streams, drains and lets
+/// its switch boxes sleep; A's blob was saved with injection enabled and a
+/// stuck-port window armed; restoring it re-enables injection, which must
+/// wake B's boxes too — they are per-commit fault sites, and A's restore
+/// wakes only A's components. B then streams again under the restored
+/// injector. Returns B's stream, clocks and the stuck-port counters.
+std::string run_neighbour_through_restore(bool activity) {
+  core::VapresSystem a(quad_params());
+  a.bring_up_all_sites();
+  core::VapresSystem b(quad_params());
+  b.sim().set_activity_driven(activity);
+  b.bring_up_all_sites();
+  core::Rsb& rsb = b.rsb();
+  EXPECT_TRUE(b.connect(0, rsb.iom_producer(0), rsb.iom_consumer(2)));
+  std::vector<Word> data;
+  for (Word w = 1; w <= 64; ++w) data.push_back(w * 7);
+  rsb.iom(0).set_source_data(data, 2);
+  b.run_system_cycles(2000);
+
+  std::string blob;
+  {
+    sim::ScopedFaultInjection faults(0xB0B);
+    // Seven boxes of seven outputs: box 1's second output on B's second
+    // cycle after the restore.
+    faults->arm(sim::FaultSite::kSwitchBoxStuckPort, 7 * 7 + 7 + 1);
+    blob = SystemSnapshot::save(a, 1);
+  }
+  b.run_system_cycles(200);  // boxes sleep again once injection is off
+  comm::SwitchFabric& fabric = rsb.fabric();
+  for (int i = 0; activity && i < fabric.num_boxes(); ++i) {
+    EXPECT_FALSE(fabric.box(i).awake()) << "box " << i;
+  }
+
+  auto a2 = SystemSnapshot::restore_system(blob, quad_params());
+  sim::FaultInjector& fi = sim::FaultInjector::instance();
+  EXPECT_TRUE(fi.enabled());
+  for (int i = 0; i < fabric.num_boxes(); ++i) {
+    EXPECT_TRUE(fabric.box(i).awake()) << "box " << i;
+  }
+  b.run_system_cycles(500);
+  rsb.iom(0).set_source_data(data, 3);
+  b.run_system_cycles(2000);
+
+  std::ostringstream os;
+  os << "now=" << b.sim().now() << " cycles=" << b.system_clock().cycle_count()
+     << " opportunities="
+     << fi.opportunities(sim::FaultSite::kSwitchBoxStuckPort)
+     << " injected=" << fi.injected(sim::FaultSite::kSwitchBoxStuckPort)
+     << " box1.stuck1=" << fabric.box(1).output_stuck(1) << "\nwords=";
+  for (Word w : rsb.iom(2).received()) os << w << ",";
+  fi.disable();
+  return os.str();
+}
+
+TEST(Snap, RestoreWithInjectionWakesAnotherSystemsBoxes) {
+  const std::string fast = run_neighbour_through_restore(true);
+  const std::string reference = run_neighbour_through_restore(false);
+  EXPECT_EQ(fast, reference);
+  EXPECT_NE(fast.find("injected=1 box1.stuck1=1"), std::string::npos) << fast;
 }
 
 // ---- warm restart ---------------------------------------------------------

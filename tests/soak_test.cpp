@@ -12,7 +12,7 @@ namespace vapres {
 namespace {
 
 /// Trims the standard scenario's fault-storm phase: armed injection
-/// runs the kernel exhaustively, and two storm launches are enough for
+/// keeps the switch boxes awake, and two storm launches are enough for
 /// a smoke run that must stay in CI-seconds.
 load::ScenarioSpec trimmed(std::uint64_t seed, std::uint64_t lifetimes,
                            std::uint64_t storm_submissions) {

@@ -1,10 +1,17 @@
 // Switch-box unit tests: port indexing, mux selects, one-register-per-box
-// pipeline latency, and module-interface behaviour (Figure 2/3 details).
+// pipeline latency, the stuck-port fault site, and module-interface
+// behaviour (Figure 2/3 details).
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "comm/module_interface.hpp"
 #include "comm/switch_box.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace vapres::comm {
 namespace {
@@ -82,6 +89,142 @@ TEST(SwitchBox, RejectsBadSelect) {
   EXPECT_THROW(box.select(0, 99), ModelError);
   EXPECT_THROW(box.select(99, 0), ModelError);
   EXPECT_NO_THROW(box.select(0, -1));
+}
+
+// ------------------------------------------------ stuck-port fault site
+// A commit on which no output can go stuck counts its non-stuck outputs'
+// opportunities in one step; one on which some may go stuck asks the
+// injector per port. The two must leave identical counters.
+
+using sim::FaultSite;
+constexpr FaultSite kStuck = FaultSite::kSwitchBoxStuckPort;
+
+void clock_box(SwitchBox& box) {
+  box.eval();
+  box.commit();
+}
+
+struct StuckTrace {
+  std::vector<std::uint64_t> opportunities;  ///< after each commit
+  std::vector<int> stuck;                    ///< stuck outputs after each
+};
+
+/// Sticks outputs 0 and 1 on the first commit, then runs with the site
+/// dead (`per_port` false) or kept live by a window no run reaches
+/// (`per_port` true), repairing output 0 midway.
+StuckTrace run_stuck_trace(bool per_port) {
+  sim::ScopedFaultInjection faults(7);
+  SwitchBox box("sw", SwitchBoxShape{2, 2, 1, 1});
+  faults->arm(kStuck, 0, 2);
+  StuckTrace t;
+  for (int c = 0; c < 8; ++c) {
+    if (c == 1 && per_port) faults->arm(kStuck, 1'000'000);
+    if (c == 4) box.repair_output(0);
+    EXPECT_EQ(faults->live(kStuck), c == 0 || per_port) << "commit " << c;
+    clock_box(box);
+    t.opportunities.push_back(faults->opportunities(kStuck));
+    t.stuck.push_back(box.stuck_output_count());
+  }
+  EXPECT_EQ(faults->injected(kStuck), 2u);
+  return t;
+}
+
+TEST(SwitchBoxStuckPort, DeadCountEqualsPerPortCount) {
+  const StuckTrace dead = run_stuck_trace(false);
+  const StuckTrace per_port = run_stuck_trace(true);
+  EXPECT_EQ(dead.opportunities, per_port.opportunities);
+  EXPECT_EQ(dead.stuck, per_port.stuck);
+  // 5 outputs on the first commit, then 3 until output 0 is repaired,
+  // then 4.
+  EXPECT_EQ(dead.opportunities,
+            (std::vector<std::uint64_t>{5, 8, 11, 14, 18, 22, 26, 30}));
+  EXPECT_EQ(dead.stuck, (std::vector<int>{2, 2, 2, 2, 1, 1, 1, 1}));
+}
+
+TEST(SwitchBoxStuckPort, UnboundedWindowKeepsFiring) {
+  // The window's end overflows 64 bits; the live test must not wrap and
+  // declare the site dead.
+  sim::ScopedFaultInjection faults(3);
+  SwitchBox box("sw", SwitchBoxShape{2, 2, 1, 1});
+  faults->arm(kStuck, 3, std::numeric_limits<std::uint64_t>::max());
+  clock_box(box);  // opportunities 0..4: ports 3 and 4 stick
+  EXPECT_EQ(box.stuck_output_count(), 2);
+  clock_box(box);  // 5..7: the remaining three
+  EXPECT_EQ(box.stuck_output_count(), 5);
+  for (int c = 0; c < 4; ++c) {
+    box.repair_output(c % 5);
+    EXPECT_TRUE(faults->live(kStuck));
+    clock_box(box);
+    EXPECT_TRUE(box.output_stuck(c % 5));
+  }
+  EXPECT_EQ(faults->injected(kStuck), 9u);
+  EXPECT_EQ(faults->opportunities(kStuck), 12u);
+}
+
+TEST(SwitchBoxStuckPort, BoxNeverQuiescentWhileInjecting) {
+  SwitchBox box("sw", SwitchBoxShape{1, 1, 1, 1});
+  clock_box(box);
+  EXPECT_TRUE(box.quiescent());
+  {
+    sim::ScopedFaultInjection faults(1);
+    EXPECT_FALSE(box.quiescent());
+  }
+  EXPECT_TRUE(box.quiescent());
+}
+
+struct FirstStuck {
+  sim::Cycles cycle = 0;
+  int box = -1;
+  int port = -1;
+  std::uint64_t opportunities = 0;  ///< at the end of the run
+  std::uint64_t edges_delivered = 0;
+};
+
+/// A three-box fabric left to fall asleep, then injection enabled with a
+/// window of one opportunity that starts inside box 1's port range.
+FirstStuck run_window_inside_box(bool activity) {
+  test::FabricRig rig(3, SwitchBoxShape{2, 2, 1, 1});
+  rig.sim.set_activity_driven(activity);
+  rig.run(64);
+  if (activity) {
+    for (int b = 0; b < 3; ++b) EXPECT_FALSE(rig.fabric->box(b).awake());
+  }
+  sim::ScopedFaultInjection faults(11);
+  // 15 opportunities a cycle; 4 full cycles, then box 0's five and two of
+  // box 1's.
+  faults->arm(kStuck, 4 * 15 + 5 + 2);
+  FirstStuck out;
+  for (sim::Cycles c = 1; c <= 10; ++c) {
+    rig.run(1);
+    for (int b = 0; b < 3 && out.box < 0; ++b) {
+      for (int p = 0; p < 5; ++p) {
+        if (rig.fabric->box(b).output_stuck(p)) {
+          out = {c, b, p, 0, 0};
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(faults->injected(kStuck), 1u);
+  out.opportunities = faults->opportunities(kStuck);
+  out.edges_delivered = rig.domain->kernel_stats().edges_delivered;
+  return out;
+}
+
+TEST(SwitchBoxStuckPort, WindowInsideABoxFiresAlikeOnBothKernels) {
+  const FirstStuck fast = run_window_inside_box(true);
+  const FirstStuck ref = run_window_inside_box(false);
+  EXPECT_EQ(fast.cycle, 5u);
+  EXPECT_EQ(fast.box, 1);
+  EXPECT_EQ(fast.port, 2);
+  EXPECT_EQ(fast.cycle, ref.cycle);
+  EXPECT_EQ(fast.box, ref.box);
+  EXPECT_EQ(fast.port, ref.port);
+  // After the fire the stuck port drops out: 10 cycles * 15 - 5.
+  EXPECT_EQ(fast.opportunities, 145u);
+  EXPECT_EQ(fast.opportunities, ref.opportunities);
+  // Only the boxes were woken: the sleeping interfaces stayed asleep.
+  EXPECT_LT(fast.edges_delivered, ref.edges_delivered);
 }
 
 // ----------------------------------------------------- ProducerInterface
