@@ -39,8 +39,8 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
       if (faults.enabled() &&
           faults.should_fire(sim::FaultSite::kConfigFrameUpset)) {
         ++frame_repairs_;
-        faults.note_recovery(sim::RecoveryEvent::kScrubRepair,
-                             track_of(rsb.prr(p).name()));
+        sys_.note_recovery(sim::RecoveryEvent::kScrubRepair,
+                           track_of(rsb.prr(p).name()));
         charged += kRewriteCyclesPerFrame;
       }
     }
@@ -53,9 +53,9 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
         if (!box.output_stuck(port)) continue;
         box.repair_output(port);
         ++mux_repairs_;
-        faults.note_recovery(sim::RecoveryEvent::kScrubRepair,
-                             track_of(box.name()),
-                             static_cast<std::uint64_t>(port));
+        sys_.note_recovery(sim::RecoveryEvent::kScrubRepair,
+                           track_of(box.name()),
+                           static_cast<std::uint64_t>(port));
         charged += kRewriteCyclesPerFrame;
       }
     }

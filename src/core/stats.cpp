@@ -128,8 +128,8 @@ SystemStats collect_stats(VapresSystem& sys) {
   rb.reconfig_retries = sys.reconfig().retries();
   rb.source_fallbacks = sys.reconfig().fallbacks();
   rb.reconfig_failures = sys.reconfig().failures();
-  rb.switch_rollbacks = faults.recoveries(sim::RecoveryEvent::kSwitchRollback);
-  rb.scrub_repairs = faults.recoveries(sim::RecoveryEvent::kScrubRepair);
+  rb.switch_rollbacks = sys.recoveries(sim::RecoveryEvent::kSwitchRollback);
+  rb.scrub_repairs = sys.recoveries(sim::RecoveryEvent::kScrubRepair);
 
   for (int r = 0; r < sys.num_rsbs(); ++r) {
     Rsb& rsb = sys.rsb(r);

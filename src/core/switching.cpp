@@ -3,7 +3,6 @@
 #include "bitstream/bitgen.hpp"
 #include "obs/metrics.hpp"
 #include "sim/check.hpp"
-#include "sim/fault.hpp"
 
 namespace vapres::core {
 
@@ -119,8 +118,7 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
         // re-routed yet — the new module was never on the processing path
         // — so rollback is: leave every channel and the source module
         // exactly as they are and walk away. The stream never noticed.
-        sim::FaultInjector::instance().note_recovery(
-            sim::RecoveryEvent::kSwitchRollback);
+        sys_.note_recovery(sim::RecoveryEvent::kSwitchRollback);
         timeline_.aborted = mb.cycle();
         close_step();
         obs::EventBus::instance().instant(

@@ -63,6 +63,12 @@ VapresSystem::~VapresSystem() {
   sim::FaultInjector::instance().set_time_source(nullptr);
 }
 
+void VapresSystem::note_recovery(sim::RecoveryEvent event,
+                                 std::uint32_t track, std::uint64_t detail) {
+  ++recoveries_[static_cast<std::size_t>(event)];
+  sim::FaultInjector::instance().note_recovery(event, track, detail);
+}
+
 std::vector<fabric::ClbRect> VapresSystem::auto_floorplan() const {
   // Stack PRRs one per local clock region, filling the left half bottom-up
   // and then the right half, leaving the topmost-left region for the

@@ -8,6 +8,7 @@
 // the paper's scenarios.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "fabric/icap.hpp"
 #include "hwmodule/library.hpp"
 #include "proc/microblaze.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 
 namespace vapres::snap {
@@ -62,6 +64,16 @@ class VapresSystem {
   ReconfigManager& reconfig() { return *reconfig_; }
   bitman::BitstreamManager& bitman() { return *bitman_; }
   bitman::PrefetchEngine& prefetch() { return *prefetch_; }
+
+  /// Counts a switch rollback or scrub repair against this system and
+  /// forwards it to the process-wide FaultInjector scoreboard (same
+  /// arguments). reconfig() counts its own retries and fallbacks. Not
+  /// part of a snapshot: a restored system counts from zero.
+  void note_recovery(sim::RecoveryEvent event, std::uint32_t track = 0,
+                     std::uint64_t detail = 0);
+  std::uint64_t recoveries(sim::RecoveryEvent event) const {
+    return recoveries_[static_cast<std::size_t>(event)];
+  }
 
   int num_rsbs() const { return static_cast<int>(rsbs_.size()); }
   Rsb& rsb(int index = 0);
@@ -150,6 +162,7 @@ class VapresSystem {
   std::unique_ptr<bitman::PrefetchEngine> prefetch_;
   std::vector<fabric::ClbRect> floorplan_;
   std::vector<std::unique_ptr<Rsb>> rsbs_;
+  std::array<std::uint64_t, sim::kNumRecoveryEvents> recoveries_{};
 };
 
 }  // namespace vapres::core

@@ -88,22 +88,6 @@ FabricSnapshot FabricAgent::snapshot(const std::string& tenant,
         1.0 - static_cast<double>(sched.free_channel_pairs()) /
                   static_cast<double>(total_pairs);
   }
-  if (snap.probe.admissible &&
-      snap.probe.prrs.size() == request.modules.size()) {
-    int site_slices = 0;
-    int need_slices = 0;
-    const auto& rects = host_.sys->params().prr_rects;
-    for (std::size_t i = 0; i < snap.probe.prrs.size(); ++i) {
-      site_slices += rects[static_cast<std::size_t>(snap.probe.prrs[i])]
-                         .slices();
-      need_slices +=
-          host_.sys->library().info(request.modules[i]).resources.slices;
-    }
-    if (site_slices > 0) {
-      snap.fit_waste =
-          static_cast<double>(site_slices - need_slices) / site_slices;
-    }
-  }
   snap.free_prrs = sched.fabric().free_count();
   snap.total_prrs = sched.fabric().num_slots();
   snap.queued = sched.queued_count();

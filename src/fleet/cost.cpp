@@ -43,11 +43,13 @@ double WeightedCostModel::score(const FabricSnapshot& snap) const {
   // point (it burns ICAP bandwidth and delays the launch); a fabric that
   // is capacity-blocked right now takes a full point so every currently
   // admissible fabric sorts ahead of it. Placement slack the plan would
-  // strand (a small module on a big site) is fragmentation-to-be and
-  // costs up to a quarter point.
+  // strand (a small module on a big site, the probe's fit_waste) is
+  // fragmentation-to-be and costs up to a quarter point: it steers small
+  // apps away from big sites so the fleet keeps large footprint classes
+  // placeable.
   double frag = 0.25 * static_cast<double>(snap.probe.defrag_migrations);
   if (!snap.probe.admissible) frag += 1.0;
-  frag += 0.25 * snap.fit_waste;
+  frag += 0.25 * snap.probe.fit_waste;
   // Queue-delay term: submissions already waiting in the fabric's
   // admission queue. (The fabric's clock lead is deliberately NOT used
   // as a delay proxy: it penalizes exactly the busy fabric that

@@ -37,11 +37,6 @@ struct FabricSnapshot {
   /// not score it (penalizing the busy fabric fights consolidation).
   sim::Cycles clock_lead = 0;
   int tenant_running = 0;     ///< submitting tenant's running apps here
-  /// Fraction of the planned sites' slices the app would leave idle
-  /// (0 = perfect fit). Steers small apps away from big sites so the
-  /// fleet keeps large footprint classes placeable — cross-fabric
-  /// best-fit.
-  double fit_waste = 0.0;
 };
 
 class CostModel {

@@ -11,6 +11,8 @@ void ModuleLibrary::register_module(NetlistInfo info) {
                  info.type_id + ": netlist needs a factory");
   VAPRES_REQUIRE(info.num_inputs >= 0 && info.num_outputs >= 0,
                  info.type_id + ": negative port count");
+  VAPRES_REQUIRE(info.rate_in >= 1 && info.rate_out >= 1,
+                 info.type_id + ": rate signature must be >= 1 word");
   VAPRES_REQUIRE(netlists_.count(info.type_id) == 0,
                  "module already registered: " + info.type_id);
   netlists_.emplace(info.type_id, std::move(info));

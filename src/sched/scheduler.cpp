@@ -28,6 +28,33 @@ std::uint32_t sched_track() {
   return obs::EventBus::instance().track("scheduler");
 }
 
+constexpr const char* kNoIomChannel = "all IOM source or sink channels busy";
+
+/// The first free channel of an [iom][channel] busy table: the one IOM
+/// search that admission and the probe share.
+std::optional<IomChannelRef> first_free(
+    const std::vector<std::vector<bool>>& busy) {
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    for (std::size_t c = 0; c < busy[i].size(); ++c) {
+      if (!busy[i][c]) {
+        return IomChannelRef{static_cast<int>(i), static_cast<int>(c)};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// Channels of an [iom][channel] busy table: the busy ones, or all.
+int count_channels(const std::vector<std::vector<bool>>& busy,
+                   bool busy_only) {
+  int n = 0;
+  for (const auto& iom : busy) {
+    n += static_cast<int>(busy_only ? std::count(iom.begin(), iom.end(), true)
+                                    : std::ssize(iom));
+  }
+  return n;
+}
+
 }  // namespace
 
 ApplicationScheduler::ApplicationScheduler(core::VapresSystem& sys)
@@ -81,15 +108,8 @@ void ApplicationScheduler::hint_request(const AppRecord& app) {
   // those (module, PRR) bitstreams while the request waits in the queue.
   // The guess can go stale — a wrong hint only costs background staging
   // time, never correctness.
-  for (const std::string& m : app.request.modules) {
-    if (!sys_.library().contains(m)) return;  // admission will reject
-  }
-  ChainPlan plan;
-  try {
-    plan = plan_chain(app);
-  } catch (const ModelError&) {
-    return;
-  }
+  if (!assess(app.request).ok()) return;  // admission will reject
+  const ChainPlan plan = plan_chain(app.request, app.id);
   if (!plan.ok) return;
   for (const MigrationStep& s : plan.steps) {
     install_bitstream(s.module_id, s.dst_prr);
@@ -202,66 +222,35 @@ ApplicationScheduler::AdmitProbe ApplicationScheduler::probe_admit(
     return probe;
   };
 
-  // Spec validation, mirroring try_admit step 1.
-  if (request.modules.empty()) {
-    return blocked(AdmissionVerdict::kRejectedBadSpec, "empty module chain");
-  }
-  if (request.source_interval_cycles < 1) {
-    return blocked(AdmissionVerdict::kRejectedBadSpec,
-                   "source interval must be >= 1 cycle");
-  }
-  for (const std::string& m : request.modules) {
-    if (!sys_.library().contains(m)) {
-      return blocked(AdmissionVerdict::kRejectedBadSpec,
-                     "unknown module " + m);
-    }
-    const hwmodule::NetlistInfo& info = sys_.library().info(m);
-    if (info.num_inputs != 1 || info.num_outputs != 1) {
-      return blocked(AdmissionVerdict::kRejectedBadSpec,
-                     "module " + m + " is not a 1-in/1-out chain stage");
-    }
-  }
+  const Assessment checked = assess(request);
+  if (!checked.ok()) return blocked(checked.verdict, checked.reason);
 
-  // Rate feasibility against this fabric's clock ladder (step 2).
-  try {
-    const flow::RateReport report = analyzer_.analyze(request.to_kpn(0, 0));
-    const double source_mwords_per_s =
-        sys_.params().system_clock_mhz /
-        static_cast<double>(request.source_interval_cycles);
-    report.assign_clocks(
-        source_mwords_per_s,
-        {sys_.params().prr_clock_a_mhz, sys_.params().prr_clock_b_mhz});
-  } catch (const ModelError& e) {
-    return blocked(AdmissionVerdict::kRejectedRateInfeasible, e.what());
-  }
-
-  // IOM channel availability (step 3's allocation, read-only).
-  bool source_free = false;
-  bool sink_free = false;
-  for (const auto& iom : source_busy_) {
-    for (const bool b : iom) source_free = source_free || !b;
-  }
-  for (const auto& iom : sink_busy_) {
-    for (const bool b : iom) sink_free = sink_free || !b;
-  }
-  probe.iom_available = source_free && sink_free;
-
-  // Placement + defrag planning over a FabricMap copy (steps 3-4).
-  AppRecord tmp;
-  tmp.request = request;
-  const ChainPlan plan = plan_chain(tmp);
+  // Placement before IOMs (try_admit holds the channels first): a chain
+  // that fits no PRR must read as a capability mismatch to the router,
+  // not as a fabric that is only busy.
+  probe.iom_available = first_free(source_busy_) && first_free(sink_busy_);
+  const ChainPlan plan = plan_chain(request, -1);
   if (!plan.ok) {
     return blocked(plan.fail_verdict, plan.reason);
   }
   if (!probe.iom_available) {
-    return blocked(AdmissionVerdict::kRejectedNoIomChannel,
-                   "all IOM source or sink channels busy");
+    return blocked(AdmissionVerdict::kRejectedNoIomChannel, kNoIomChannel);
   }
   probe.admissible = true;
   probe.verdict = plan.steps.empty() ? AdmissionVerdict::kAdmitted
                                      : AdmissionVerdict::kAdmittedAfterDefrag;
   probe.prrs = plan.prrs;
   probe.defrag_migrations = static_cast<int>(plan.steps.size());
+  int site_slices = 0;
+  int need_slices = 0;
+  for (std::size_t i = 0; i < plan.prrs.size(); ++i) {
+    site_slices += map_.slot(plan.prrs[i]).rect.slices();
+    need_slices += sys_.library().info(request.modules[i]).resources.slices;
+  }
+  if (site_slices > 0) {
+    probe.fit_waste =
+        static_cast<double>(site_slices - need_slices) / site_slices;
+  }
   return probe;
 }
 
@@ -330,48 +319,10 @@ bool ApplicationScheduler::try_admit(AppRecord& app) {
     return false;
   };
 
-  // 1. Spec validation: a linear chain of known 1-in/1-out modules.
-  if (k == 0) {
-    return reject(AdmissionVerdict::kRejectedBadSpec, "empty module chain");
-  }
-  if (app.request.source_interval_cycles < 1) {
-    return reject(AdmissionVerdict::kRejectedBadSpec,
-                  "source interval must be >= 1 cycle");
-  }
-  for (const std::string& m : app.request.modules) {
-    if (!sys_.library().contains(m)) {
-      return reject(AdmissionVerdict::kRejectedBadSpec,
-                    "unknown module " + m);
-    }
-    const hwmodule::NetlistInfo& info = sys_.library().info(m);
-    if (info.num_inputs != 1 || info.num_outputs != 1) {
-      return reject(AdmissionVerdict::kRejectedBadSpec,
-                    "module " + m + " is not a 1-in/1-out chain stage");
-    }
-  }
-
-  // 2. Rate feasibility: some ladder clock must sustain every stage at
-  // the requested stream rate (flow::RateAnalyzer, Section IV).
-  flow::RateReport report;
-  try {
-    report = analyzer_.analyze(app.request.to_kpn(0, 0));
-  } catch (const ModelError& e) {
-    return reject(AdmissionVerdict::kRejectedBadSpec, e.what());
-  }
-  try {
-    const double source_mwords_per_s =
-        sys_.params().system_clock_mhz /
-        static_cast<double>(app.request.source_interval_cycles);
-    const auto chosen = report.assign_clocks(
-        source_mwords_per_s,
-        {sys_.params().prr_clock_a_mhz, sys_.params().prr_clock_b_mhz});
-    app.clocks_mhz.clear();
-    for (int i = 0; i < k; ++i) {
-      app.clocks_mhz.push_back(chosen.at(AppRequest::node_name(i)));
-    }
-  } catch (const ModelError& e) {
-    return reject(AdmissionVerdict::kRejectedRateInfeasible, e.what());
-  }
+  // 1-2. Spec and rate checks.
+  Assessment checked = assess(app.request);
+  if (!checked.ok()) return reject(checked.verdict, checked.reason);
+  app.clocks_mhz = std::move(checked.clocks_mhz);
 
   // 3-5. IOM + placement, with preemption retries.
   bool preempted_any = false;
@@ -379,7 +330,7 @@ bool ApplicationScheduler::try_admit(AppRecord& app) {
     const bool ioms_ok = allocate_ioms(app);
     ChainPlan plan;
     if (ioms_ok) {
-      plan = plan_chain(app);
+      plan = plan_chain(app.request, app.id);
       if (plan.ok) {
         bool migration_failed = false;
         for (const MigrationStep& s : plan.steps) {
@@ -437,8 +388,7 @@ bool ApplicationScheduler::try_admit(AppRecord& app) {
     const AdmissionVerdict blocked =
         ioms_ok ? plan.fail_verdict
                 : AdmissionVerdict::kRejectedNoIomChannel;
-    const std::string why =
-        ioms_ok ? plan.reason : "all IOM source or sink channels busy";
+    const std::string why = ioms_ok ? plan.reason : kNoIomChannel;
     if (!opt_.enable_preemption) return reject(blocked, why);
     const int victim = pick_victim(app.request.priority);
     if (victim < 0) {
@@ -454,14 +404,64 @@ bool ApplicationScheduler::try_admit(AppRecord& app) {
   }
 }
 
+ApplicationScheduler::Assessment ApplicationScheduler::assess(
+    const AppRequest& request) const {
+  Assessment out;
+  auto fail = [&out](AdmissionVerdict v, std::string why) {
+    out.verdict = v;
+    out.reason = std::move(why);
+    return out;
+  };
+
+  // 1. Spec: a linear chain of known 1-in/1-out modules.
+  if (request.modules.empty()) {
+    return fail(AdmissionVerdict::kRejectedBadSpec, "empty module chain");
+  }
+  if (request.source_interval_cycles < 1) {
+    return fail(AdmissionVerdict::kRejectedBadSpec,
+                "source interval must be >= 1 cycle");
+  }
+  for (const std::string& m : request.modules) {
+    if (!sys_.library().contains(m)) {
+      return fail(AdmissionVerdict::kRejectedBadSpec, "unknown module " + m);
+    }
+    const hwmodule::NetlistInfo& info = sys_.library().info(m);
+    if (info.num_inputs != 1 || info.num_outputs != 1) {
+      return fail(AdmissionVerdict::kRejectedBadSpec,
+                  "module " + m + " is not a 1-in/1-out chain stage");
+    }
+  }
+
+  // 2. Rate: some ladder clock must sustain every stage at the requested
+  // stream rate (flow::RateAnalyzer, Section IV). The library refuses
+  // rate signatures below 1 at registration, so a valid chain always
+  // analyzes and only the ladder can refuse it.
+  try {
+    const flow::RateReport report = analyzer_.analyze(request.to_kpn(0, 0));
+    const double source_mwords_per_s =
+        sys_.params().system_clock_mhz /
+        static_cast<double>(request.source_interval_cycles);
+    const auto chosen = report.assign_clocks(
+        source_mwords_per_s,
+        {sys_.params().prr_clock_a_mhz, sys_.params().prr_clock_b_mhz});
+    for (std::size_t i = 0; i < request.modules.size(); ++i) {
+      out.clocks_mhz.push_back(
+          chosen.at(AppRequest::node_name(static_cast<int>(i))));
+    }
+  } catch (const ModelError& e) {
+    return fail(AdmissionVerdict::kRejectedRateInfeasible, e.what());
+  }
+  return out;
+}
+
 ApplicationScheduler::ChainPlan ApplicationScheduler::plan_chain(
-    const AppRecord& app) const {
+    const AppRequest& request, int app_id) const {
   ChainPlan plan;
   FabricMap copy = map_;
   int budget = opt_.enable_defrag ? opt_.max_defrag_migrations : 0;
-  const int k = static_cast<int>(app.request.modules.size());
+  const int k = static_cast<int>(request.modules.size());
   for (int i = 0; i < k; ++i) {
-    const std::string& m = app.request.modules[i];
+    const std::string& m = request.modules[i];
     const fabric::ResourceVector need = sys_.library().info(m).resources;
     int p = copy.find_free(need, opt_.policy);
     if (p < 0 && !copy.fits_somewhere(need)) {
@@ -487,7 +487,7 @@ ApplicationScheduler::ChainPlan ApplicationScheduler::plan_chain(
     }
     // Tentative occupancy; migratable=false so the planner never tries
     // to relocate a module that is not launched yet.
-    copy.occupy(p, app.id, i, m, need.slices, /*migratable=*/false);
+    copy.occupy(p, app_id, i, m, need.slices, /*migratable=*/false);
     plan.prrs.push_back(p);
   }
   plan.ok = true;
@@ -495,32 +495,15 @@ ApplicationScheduler::ChainPlan ApplicationScheduler::plan_chain(
 }
 
 bool ApplicationScheduler::allocate_ioms(AppRecord& app) {
-  int s_iom = -1, s_ch = -1, k_iom = -1, k_ch = -1;
-  for (std::size_t i = 0; i < source_busy_.size() && s_iom < 0; ++i) {
-    for (std::size_t c = 0; c < source_busy_[i].size(); ++c) {
-      if (!source_busy_[i][c]) {
-        s_iom = static_cast<int>(i);
-        s_ch = static_cast<int>(c);
-        break;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < sink_busy_.size() && k_iom < 0; ++i) {
-    for (std::size_t c = 0; c < sink_busy_[i].size(); ++c) {
-      if (!sink_busy_[i][c]) {
-        k_iom = static_cast<int>(i);
-        k_ch = static_cast<int>(c);
-        break;
-      }
-    }
-  }
-  if (s_iom < 0 || k_iom < 0) return false;
-  source_busy_[static_cast<std::size_t>(s_iom)]
-              [static_cast<std::size_t>(s_ch)] = true;
-  sink_busy_[static_cast<std::size_t>(k_iom)]
-            [static_cast<std::size_t>(k_ch)] = true;
-  app.source = IomChannelRef{s_iom, s_ch};
-  app.sink = IomChannelRef{k_iom, k_ch};
+  const std::optional<IomChannelRef> source = first_free(source_busy_);
+  const std::optional<IomChannelRef> sink = first_free(sink_busy_);
+  if (!source || !sink) return false;
+  app.source = *source;
+  app.sink = *sink;
+  source_busy_[static_cast<std::size_t>(app.source.iom)]
+              [static_cast<std::size_t>(app.source.channel)] = true;
+  sink_busy_[static_cast<std::size_t>(app.sink.iom)]
+            [static_cast<std::size_t>(app.sink.channel)] = true;
   return true;
 }
 
@@ -532,31 +515,19 @@ void ApplicationScheduler::free_ioms(const AppRecord& app) {
 }
 
 int ApplicationScheduler::busy_source_channels() const {
-  int n = 0;
-  for (const auto& iom : source_busy_) {
-    for (const bool b : iom) n += b ? 1 : 0;
-  }
-  return n;
+  return count_channels(source_busy_, true);
 }
 
 int ApplicationScheduler::busy_sink_channels() const {
-  int n = 0;
-  for (const auto& iom : sink_busy_) {
-    for (const bool b : iom) n += b ? 1 : 0;
-  }
-  return n;
+  return count_channels(sink_busy_, true);
 }
 
 int ApplicationScheduler::total_source_channels() const {
-  int n = 0;
-  for (const auto& iom : source_busy_) n += static_cast<int>(iom.size());
-  return n;
+  return count_channels(source_busy_, false);
 }
 
 int ApplicationScheduler::total_sink_channels() const {
-  int n = 0;
-  for (const auto& iom : sink_busy_) n += static_cast<int>(iom.size());
-  return n;
+  return count_channels(sink_busy_, false);
 }
 
 int ApplicationScheduler::free_channel_pairs() const {

@@ -76,6 +76,10 @@ class ApplicationScheduler {
     std::vector<int> prrs;       ///< placement the plan would commit
     int defrag_migrations = 0;   ///< live relocations the plan would spend
     bool iom_available = false;  ///< a source + sink channel pair is free
+    /// Fraction of the planned sites' slices the chain would leave idle
+    /// (0 = perfect fit, or not admissible). The fleet router scores it
+    /// as fragmentation-to-be: cross-fabric best-fit.
+    double fit_waste = 0.0;
   };
 
   explicit ApplicationScheduler(core::VapresSystem& sys);
@@ -89,9 +93,10 @@ class ApplicationScheduler {
 
   /// Feasibility + placement dry run for `request` with no side effects:
   /// no record is created, no MicroBlaze time is charged, no obs event
-  /// is emitted, and the fabric map is only copied. Walks the same
-  /// admission steps as try_admit (spec validation, rate feasibility,
-  /// IOM availability, placement with defrag planning) minus preemption.
+  /// is emitted, and the fabric map is only copied. Shares try_admit's
+  /// spec and rate checks (assess), IOM search and placement planning,
+  /// minus preemption; it plans before it checks IOMs, so a chain that
+  /// fits no PRR reads as a capability mismatch even on a busy fabric.
   AdmitProbe probe_admit(const AppRequest& request) const;
 
   /// Admits queued requests (highest priority first, FIFO within a
@@ -183,6 +188,18 @@ class ApplicationScheduler {
   // their remaining word budgets (snap/system_snapshot.cpp).
   friend class ::vapres::snap::SystemSnapshot;
 
+  /// Admission steps 1-2, read-only. Spec: a non-empty chain of known
+  /// 1-in/1-out modules with source interval >= 1. Rate: a ladder clock
+  /// sustains every stage at the requested stream rate. try_admit,
+  /// probe_admit and hint_request all start here.
+  struct Assessment {
+    /// kPending when both checks pass; the rejection otherwise.
+    AdmissionVerdict verdict = AdmissionVerdict::kPending;
+    std::string reason;
+    std::vector<double> clocks_mhz;  ///< chosen ladder clock per stage
+    bool ok() const { return verdict == AdmissionVerdict::kPending; }
+  };
+
   /// Outcome of planning one chain onto a FabricMap copy.
   struct ChainPlan {
     bool ok = false;
@@ -195,8 +212,10 @@ class ApplicationScheduler {
   core::Rsb& rsb() { return sys_.rsb(opt_.rsb_index); }
   const core::Rsb& rsb() const { return sys_.rsb(opt_.rsb_index); }
 
+  Assessment assess(const AppRequest& request) const;
   bool try_admit(AppRecord& app);
-  ChainPlan plan_chain(const AppRecord& app) const;
+  /// `app_id` tags the tentative occupancy (-1 for a probe).
+  ChainPlan plan_chain(const AppRequest& request, int app_id) const;
   bool allocate_ioms(AppRecord& app);
   void free_ioms(const AppRecord& app);
   /// Lowest-priority (then youngest) running app below `priority`.

@@ -1144,8 +1144,7 @@ WarmRestart SystemSnapshot::warm_restart(const std::string& blob,
           core::PrSocket::kFifoWen | core::PrSocket::kFifoRen |
           core::PrSocket::kPrrReset;
       dst.socket().dcr_write(dst.socket().value() & ~clear_bits);
-      sim::FaultInjector::instance().note_recovery(
-          sim::RecoveryEvent::kSwitchRollback);
+      sys.note_recovery(sim::RecoveryEvent::kSwitchRollback);
       obs::Registry::instance().counter("switch.rollbacks").add(1);
       out.report.switch_rolled_back = true;
       out.report.notes.push_back(

@@ -70,6 +70,29 @@ TEST(ProbeAdmit, ReportsRejectionVerdicts) {
   EXPECT_EQ(big.verdict, sched::AdmissionVerdict::kRejectedNoPrrFit);
 }
 
+// The placement slack the router scores comes from the probe's plan:
+// best fit puts gain_x2 (90 slices) and offset_100 (50) on the two
+// 128-slice sites, leaving 116 of 256 slices idle.
+TEST(ProbeAdmit, FitWasteIsThePlansStrandedSlack) {
+  const fleet::FabricSpec fs = fleet::FabricSpec::standard("f");
+  core::VapresSystem sys(fs.params);
+  sys.bring_up_all_sites();
+  sched::ApplicationScheduler sched(sys);
+  fleet::StateDb db(1);
+  fleet::FleetCounters counters;
+  const fleet::FabricAgent agent(0, fleet::FabricHost{"f", &sys, &sched}, db,
+                                 counters);
+  const fleet::FabricSnapshot snap =
+      agent.snapshot("t", request("p", {"gain_x2", "offset_100"}), 0);
+  ASSERT_TRUE(snap.probe.admissible);
+  EXPECT_EQ(snap.probe.prrs, (std::vector<int>{2, 3}));
+  EXPECT_DOUBLE_EQ(snap.probe.fit_waste, 0.453125);
+  EXPECT_DOUBLE_EQ(
+      sched.probe_admit(request("q", {"gain_x2"})).fit_waste, 0.296875);
+  // Not admissible: no plan, no slack.
+  EXPECT_EQ(sched.probe_admit(request("x", {"fir16_sharp"})).fit_waste, 0.0);
+}
+
 TEST(FleetRouter, DeterministicForFixedSeed) {
   auto run = [](std::vector<std::pair<int, bool>>& decisions) {
     fleet::ControlPlane fc(fleet::FleetSpec::heterogeneous());

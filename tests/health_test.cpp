@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/switching.hpp"
 #include "fleet/controlplane.hpp"
 #include "load/scenario.hpp"
 #include "obs/bus.hpp"
@@ -17,6 +18,7 @@
 #include "obs/health/series.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/fault.hpp"
 #include "snap/format.hpp"
 #include "snap/system_snapshot.hpp"
 
@@ -444,6 +446,50 @@ TEST(HealthFleet, IsolateDrainUnisolateRoundTrip) {
   // fleet_status surfaces the health ledger.
   const std::string status = fc.fleet_status();
   EXPECT_NE(status.find("health"), std::string::npos);
+}
+
+// A recovery belongs to the fabric that did it: a switch rollback on
+// fabric 0 must not feed fabric 1's fault_recoveries gauge (and with it
+// fabric 1's fault_recovery_rate rule).
+TEST(HealthFleet, FaultRecoveriesStayOnTheirFabric) {
+  obs::Registry::instance().reset();
+  fleet::FleetSpec fs = fleet::FleetSpec::uniform(2);
+  fs.health.enabled = true;
+  fleet::ControlPlane fc(fs);
+
+  // Fabric 0 streams through a passthrough on PRR 0 and switches it to
+  // PRR 1, whose PR fails permanently: the switch rolls back.
+  core::VapresSystem& sys = fc.system(0);
+  core::Rsb& rsb = sys.rsb();
+  sys.reconfigure_now(0, 0, "passthrough");
+  sys.preload_sdram("gain_x2", 0, 1);
+  core::SwitchRequest req;
+  req.src_prr = 0;
+  req.dst_prr = 1;
+  req.new_module_id = "gain_x2";
+  req.upstream = *sys.connect(0, rsb.iom_producer(0), rsb.prr_consumer(0));
+  req.downstream = *sys.connect(0, rsb.prr_producer(0), rsb.iom_consumer(0));
+  sim::ScopedFaultInjection faults(0x5EED);
+  sys.reconfig().set_retry_policy(
+      {.max_attempts = 1, .backoff_base_cycles = 256,
+       .fallback_to_cf = false});
+  faults->arm(sim::FaultSite::kIcapBitstreamCorruption,
+              faults->opportunities(sim::FaultSite::kIcapBitstreamCorruption));
+  core::ModuleSwitcher sw(sys, req);
+  sw.begin();
+  ASSERT_TRUE(sys.sim().run_until([&sw] { return sw.finished(); },
+                                  sim::kPsPerSecond * 120));
+  ASSERT_TRUE(sw.aborted());
+  ASSERT_EQ(faults->recoveries(sim::RecoveryEvent::kSwitchRollback), 1u);
+
+  fc.health_tick();
+  obs::Registry& reg = obs::Registry::instance();
+  EXPECT_EQ(reg.gauge("fleet." + fc.fabric_name(0) + ".fault_recoveries")
+                .value(),
+            1);
+  EXPECT_EQ(reg.gauge("fleet." + fc.fabric_name(1) + ".fault_recoveries")
+                .value(),
+            0);
 }
 
 TEST(HealthFleet, ObserveOnlyModeNeverIsolates) {

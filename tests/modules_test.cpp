@@ -446,6 +446,25 @@ TEST(Library, DuplicateRegistrationRejected) {
                ModelError);
 }
 
+TEST(Library, RateSignatureBelowOneRejected) {
+  // A rate of 0 (or less) has no SDF meaning: the rate analyzer would
+  // throw on every chain naming the module, so the library refuses it.
+  auto info = [](const char* id, int rate_in, int rate_out) {
+    return NetlistInfo{id, "", {10, 0, 0}, 1, 1,
+                       [] { return std::make_unique<Passthrough>(); },
+                       rate_in, rate_out};
+  };
+  ModuleLibrary lib;
+  EXPECT_THROW(lib.register_module(info("sink_all", 1, 0)), ModelError);
+  EXPECT_THROW(lib.register_module(info("from_nothing", 0, 1)), ModelError);
+  EXPECT_THROW(lib.register_module(info("negative", -2, 1)), ModelError);
+  EXPECT_FALSE(lib.contains("sink_all"));
+  EXPECT_FALSE(lib.contains("from_nothing"));
+  EXPECT_FALSE(lib.contains("negative"));
+  lib.register_module(info("decim3", 3, 1));
+  EXPECT_TRUE(lib.contains("decim3"));
+}
+
 TEST(Library, UnknownModuleThrows) {
   const auto lib = ModuleLibrary::standard();
   EXPECT_FALSE(lib.contains("nonexistent"));

@@ -313,6 +313,60 @@ TEST(Scheduler, AccountingReportCoversEveryApp) {
   expect_invariants(sched);
 }
 
+// probe_admit and admission share one assessment: on every blocking
+// case the dry run's verdict and reason equal what run_admission leaves
+// on the record when preemption is off.
+TEST(Scheduler, ProbeAgreesWithAdmission) {
+  struct Case {
+    const char* name;
+    std::vector<std::string> occupants;  // one running app per entry
+    AppRequest request;
+    AdmissionVerdict expected;
+  };
+  // ma8 (300 slices) fits only the two large PRRs. Two fir8_lowpass
+  // apps (620 slices) hold both, and no free slot could take either, so
+  // no relocation can free one.
+  const std::vector<Case> cases = {
+      {"empty chain", {}, make_app("e", {}),
+       AdmissionVerdict::kRejectedBadSpec},
+      {"interval 0", {}, make_app("i", {"gain_x2"}, 1, /*interval=*/0),
+       AdmissionVerdict::kRejectedBadSpec},
+      {"unknown module", {}, make_app("u", {"warp_drive"}),
+       AdmissionVerdict::kRejectedBadSpec},
+      {"2-in module", {}, make_app("j", {"adder2"}),
+       AdmissionVerdict::kRejectedBadSpec},
+      {"rate above the ladder", {},
+       make_app("r", {"upsample2"}, 1, /*interval=*/1),
+       AdmissionVerdict::kRejectedRateInfeasible},
+      {"IOMs all busy", {"passthrough", "passthrough", "passthrough"},
+       make_app("b", {"passthrough"}),
+       AdmissionVerdict::kRejectedNoIomChannel},
+      {"fragmented fabric", {"fir8_lowpass", "fir8_lowpass"},
+       make_app("f", {"ma8"}), AdmissionVerdict::kRejectedFragmented},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::VapresSystem sys(quad_params());
+    sys.bring_up_all_sites();
+    ApplicationScheduler::Options opt;
+    opt.enable_preemption = false;
+    ApplicationScheduler sched(sys, opt);
+    for (const std::string& m : c.occupants) {
+      sched.submit(make_app("occupant", {m}));
+      ASSERT_EQ(sched.run_admission(), 1) << m;
+    }
+    const ApplicationScheduler::AdmitProbe probe =
+        sched.probe_admit(c.request);
+    const int id = sched.submit(c.request);
+    EXPECT_EQ(sched.run_admission(), 0);
+    const AppRecord& rec = sched.app(id);
+    EXPECT_FALSE(probe.admissible);
+    EXPECT_EQ(probe.verdict, c.expected);
+    EXPECT_EQ(probe.verdict, rec.verdict);
+    EXPECT_EQ(probe.reason, rec.reject_reason);
+  }
+}
+
 // Identical submission sequences against identical systems must replay
 // to identical decisions and stream contents (fixed-seed determinism).
 TEST(Scheduler, DeterministicReplay) {

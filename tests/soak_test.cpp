@@ -69,6 +69,46 @@ TEST(Soak, DigestIsDeterministicPerSeed) {
   EXPECT_NE(a.digest, c.digest);
 }
 
+// Replay digests are the oracle for refactors that must not change
+// behaviour, so two are pinned here: the benchmark's storm-free soak
+// and its fleet workload (checkpoint sweeps off), each at seed 1 and
+// 300 lifetimes. A change that moves either must say why.
+TEST(SoakDigest, StormFreeStandardSoakIsPinned) {
+  load::ScenarioSpec spec = load::ScenarioSpec::standard(1, 300);
+  std::erase_if(spec.phases, [](const load::Phase& p) {
+    return p.icap_fault_probability > 0.0;
+  });
+  load::SoakOptions opt;
+  opt.seed = 1;
+  opt.lifetimes = spec.total_submissions();
+  opt.checkpoint_interval = 128;
+  opt.scenario = spec;
+  const load::SoakResult res = load::run_soak(opt);
+  EXPECT_TRUE(res.ok()) << res.invariants.to_string();
+  EXPECT_EQ(res.digest, 0xa522e829b0921e44ULL);
+}
+
+TEST(SoakDigest, FleetWorkloadIsPinned) {
+  fleet::FleetSpec fs = fleet::FleetSpec::heterogeneous();
+  fs.health.enabled = true;
+  fs.health.remediate = true;
+  fs.health.rules = fleet::standard_health_rules(fs);
+  const load::ScenarioSpec spec = load::ScenarioSpec::standard_fleet(
+      1, 300, 3, static_cast<int>(fs.fabrics.size()));
+  load::FleetSoakOptions opt;
+  opt.seed = 1;
+  opt.lifetimes = spec.total_submissions();
+  opt.num_tenants = 3;
+  opt.crash_churn_every = 20;
+  opt.checkpoint_interval = 128;
+  opt.health_tick_every = 64;
+  opt.scenario = spec;
+  opt.fleet = fs;
+  const load::FleetSoakResult res = load::run_fleet_soak(opt);
+  EXPECT_TRUE(res.ok()) << res.invariants.to_string();
+  EXPECT_EQ(res.digest, 0x96153c03fc3a7499ULL);
+}
+
 TEST(FleetSoak, ThousandLifetimesOnTwoFabricsHoldEveryInvariant) {
   load::FleetSoakOptions opt;
   opt.seed = 0xF1EE7;
