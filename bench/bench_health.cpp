@@ -86,11 +86,9 @@ ConfigOutcome run_config(const std::string& name,
   opt.scenario = scenario;
   opt.fleet = fleet::FleetSpec::uniform(2);
   if (monitor) {
-    fleet::HealthConfig hc;
-    hc.enabled = true;
-    hc.remediate = remediate;
-    // No rules set: run_fleet_soak fills in standard_health_rules().
-    opt.health = hc;
+    opt.fleet->health.enabled = true;
+    opt.fleet->health.remediate = remediate;
+    opt.fleet->health.rules = fleet::standard_health_rules(*opt.fleet);
     opt.flight_dir = flight_dir;
   }
   out.res = load::run_fleet_soak(opt);

@@ -86,6 +86,17 @@ cmake --build "$BUILD" -j --target bench_health
 (cd "$BUILD" && ./bench/bench_health --quick)
 
 echo
+echo "=== tier-1: benchmark driver smoke (perfbench soak + fleet) ==="
+# Builds the benchmark driver against the current library and runs it
+# for about a second per workload. The driver's self-checks (invariant
+# sweeps, repeat determinism, parity with load::run_soak and
+# load::run_fleet_soak) run on every call, so a library change that
+# breaks the benchmark fails here (non-zero exit). The driver builds
+# under .bench_build/ (perfbench/run.py).
+python3 perfbench/run.py --workload soak --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload fleet --seed 1 --seconds 1 --trace 0
+
+echo
 echo "=== tier-1: Chrome trace export smoke (multi_app_server) ==="
 # The exported trace_event JSON must parse and contain events — the
 # format chrome://tracing / Perfetto loads (docs/OBSERVABILITY.md).

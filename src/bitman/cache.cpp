@@ -2,6 +2,7 @@
 
 #include "bitman/prefetch.hpp"
 #include "bitstream/bitgen.hpp"
+#include "bitstream/calibration.hpp"
 #include "obs/bus.hpp"
 #include "obs/metrics.hpp"
 #include "sim/check.hpp"
@@ -20,12 +21,8 @@ std::uint32_t bitman_track() {
 
 BitstreamManager::BitstreamManager(core::ReconfigManager& reconfig,
                                    bitstream::CompactFlash& cf,
-                                   bitstream::Sdram& sdram,
-                                   BitmanOptions options)
-    : reconfig_(reconfig), cf_(cf), sdram_(sdram), opt_(options) {
-  VAPRES_REQUIRE(opt_.stream_chunk_bytes > 0,
-                 "stream chunk size must be positive");
-}
+                                   bitstream::Sdram& sdram)
+    : reconfig_(reconfig), cf_(cf), sdram_(sdram) {}
 
 std::string BitstreamManager::key_for(const std::string& module_id,
                                       const std::string& prr_name) {
@@ -219,9 +216,9 @@ sim::Cycles BitstreamManager::reconfigure(
       bitstream::bitstream_filename(module_id, prr_name);
   VAPRES_REQUIRE(cf_.contains(filename),
                  "bitstream neither resident nor installed: " + key);
-  if (opt_.stage_on_miss) request_restage(module_id, prr_name);
+  request_restage(module_id, prr_name);
   return reconfig_.cf2icap_streamed(
-      filename, opt_.stream_chunk_bytes,
+      filename, bitstream::Calibration::kStreamChunkBytes,
       [this, module_id, prr_name,
        on_done = std::move(on_done)](const core::ReconfigOutcome& o) {
         if (o.ok()) note_loaded(prr_name, module_id);
@@ -244,7 +241,7 @@ void BitstreamManager::note_loaded(const std::string& prr_name,
     next_after_[prr_name][last_it->second] = module_id;
   }
   last_module_[prr_name] = module_id;
-  if (!opt_.predict_next || prefetch_ == nullptr) return;
+  if (prefetch_ == nullptr) return;
   const std::string next = predicted_next(prr_name, module_id);
   if (!next.empty()) prefetch_->hint(next, prr_name);
 }

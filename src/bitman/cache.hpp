@@ -10,7 +10,7 @@
 //     runs the fast array2icap driver with the entry pinned against
 //     eviction for the duration of the transfer; a cold miss falls
 //     through to the double-buffered chunked CF->ICAP streaming driver
-//     (ReconfigManager::cf2icap_streamed) and, by default, queues a
+//     (ReconfigManager::cf2icap_streamed) and queues a
 //     background restage so the next request is warm;
 //   * staging a new array evicts cold arrays LRU-first (pinned and
 //     in-flight entries are never eviction victims) and replaces stale
@@ -32,7 +32,6 @@
 #include <set>
 #include <string>
 
-#include "bitstream/calibration.hpp"
 #include "bitstream/storage.hpp"
 #include "core/reconfig.hpp"
 
@@ -65,25 +64,13 @@ struct BitmanStats {
   }
 };
 
-struct BitmanOptions {
-  /// Queue a background restage (via the prefetcher) after a cold miss,
-  /// so a repeated request finds the array warm.
-  bool stage_on_miss = true;
-  /// Chunk size of the streamed cold-miss path.
-  std::int64_t stream_chunk_bytes = bitstream::Calibration::kStreamChunkBytes;
-  /// Hint the per-PRR predicted next module to the prefetcher after each
-  /// successful load.
-  bool predict_next = true;
-};
-
 /// Owns SDRAM residency of partial bitstreams. All SDRAM array traffic
 /// (staging, eviction, invalidation) goes through this manager; callers
 /// hold on to CompactFlash only for installing synthesized files.
 class BitstreamManager {
  public:
   BitstreamManager(core::ReconfigManager& reconfig,
-                   bitstream::CompactFlash& cf, bitstream::Sdram& sdram,
-                   BitmanOptions options = {});
+                   bitstream::CompactFlash& cf, bitstream::Sdram& sdram);
 
   BitstreamManager(const BitstreamManager&) = delete;
   BitstreamManager& operator=(const BitstreamManager&) = delete;
@@ -138,8 +125,9 @@ class BitstreamManager {
   /// Demand reconfiguration through the cache: array2icap on a warm hit
   /// (entry pinned for the transfer; a CF fallback taken by the retry
   /// machinery invalidates the poisoned array and queues a restage),
-  /// cf2icap_streamed on a cold miss (plus a restage hint when
-  /// stage_on_miss). Returns the first-attempt cycles charged.
+  /// cf2icap_streamed on a cold miss (plus a restage hint, so a repeated
+  /// request finds the array warm). Returns the first-attempt cycles
+  /// charged.
   sim::Cycles reconfigure(const std::string& module_id,
                           const std::string& prr_name,
                           core::ReconfigManager::DoneCallback on_done = {});
@@ -152,7 +140,6 @@ class BitstreamManager {
                              const std::string& module_id) const;
 
   const BitmanStats& stats() const { return stats_; }
-  const BitmanOptions& options() const { return opt_; }
 
   /// Bookkeeping entry point for the prefetcher (cancelled queued hints).
   void note_prefetch_cancelled(std::uint64_t n) {
@@ -186,7 +173,6 @@ class BitstreamManager {
   core::ReconfigManager& reconfig_;
   bitstream::CompactFlash& cf_;
   bitstream::Sdram& sdram_;
-  BitmanOptions opt_;
   BitmanStats stats_;
   PrefetchEngine* prefetch_ = nullptr;
 

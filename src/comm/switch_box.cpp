@@ -91,11 +91,6 @@ int SwitchBox::selected(int output_port) const {
   return selects_[static_cast<std::size_t>(output_port)];
 }
 
-void SwitchBox::park_all_outputs() {
-  for (auto& s : selects_) s = -1;
-  wake();
-}
-
 bool SwitchBox::output_stuck(int port) const {
   check_output(port);
   return stuck_[static_cast<std::size_t>(port)];

@@ -77,7 +77,6 @@ class SwitchBox final : public sim::Clocked {
   /// output (drives idle flits).
   void select(int output_port, int input_port);
   int selected(int output_port) const;
-  void park_all_outputs();
 
   // -- Fault state (kSwitchBoxStuckPort site) ---------------------------
   // With injection enabled, each commit is an opportunity per non-stuck

@@ -81,7 +81,6 @@ class SwitchFabric {
   /// Tears down a route, parking its output ports.
   void release(RouteId id);
 
-  bool route_active(RouteId id) const { return routes_.count(id) > 0; }
   std::size_t active_routes() const { return routes_.size(); }
 
  private:

@@ -20,7 +20,7 @@ Prr::Prr(std::string name, int index, const fabric::ClbRect& rect,
   // Clock tree: BUFR in the PRR's (first) clock region, BUFGMUX selecting
   // between the two system-provided PRR frequencies.
   const auto regions = fabric::regions_spanned(rect_, device);
-  fabric::Bufr bufr(name_ + ".bufr", regions.front());
+  fabric::Bufr bufr(regions.front());
   VAPRES_REQUIRE(bufr.can_drive(rect_, device),
                  name_ + ": BUFR cannot reach the whole PRR");
   fabric::Bufgmux mux(clock_a_mhz, clock_b_mhz);

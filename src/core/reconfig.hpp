@@ -123,7 +123,6 @@ class ReconfigManager {
   int completed() const { return completed_; }
 
   void set_retry_policy(const RetryPolicy& policy);
-  const RetryPolicy& retry_policy() const { return policy_; }
 
   /// Recovery counters (lifetime totals).
   int retries() const { return retries_; }

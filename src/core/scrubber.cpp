@@ -39,6 +39,7 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
       if (faults.enabled() &&
           faults.should_fire(sim::FaultSite::kConfigFrameUpset)) {
         ++frame_repairs_;
+        sys_.note_frame_repair();
         sys_.note_recovery(sim::RecoveryEvent::kScrubRepair,
                            track_of(rsb.prr(p).name()));
         charged += kRewriteCyclesPerFrame;

@@ -121,8 +121,6 @@ SystemStats collect_stats(VapresSystem& sys) {
   }
 
   RobustnessStats& rb = stats.robustness;
-  const auto& faults = sim::FaultInjector::instance();
-  rb.faults_injected = faults.total_injected();
   rb.icap_corrupted = sys.icap().corrupted_transfers();
   rb.icap_timeouts = sys.icap().timed_out_transfers();
   rb.reconfig_retries = sys.reconfig().retries();
@@ -131,6 +129,7 @@ SystemStats collect_stats(VapresSystem& sys) {
   rb.switch_rollbacks = sys.recoveries(sim::RecoveryEvent::kSwitchRollback);
   rb.scrub_repairs = sys.recoveries(sim::RecoveryEvent::kScrubRepair);
 
+  std::uint64_t stuck_events = 0;
   for (int r = 0; r < sys.num_rsbs(); ++r) {
     Rsb& rsb = sys.rsb(r);
     stats.active_channels += rsb.channels().active_count();
@@ -173,12 +172,18 @@ SystemStats collect_stats(VapresSystem& sys) {
     for (int b = 0; b < fabric.num_boxes(); ++b) {
       rb.stuck_ports +=
           static_cast<std::uint64_t>(fabric.box(b).stuck_output_count());
+      stuck_events += static_cast<std::uint64_t>(fabric.box(b).stuck_events());
     }
   }
   for (const FifoStats& f : stats.fifos) {
     rb.fifo_words_dropped += f.fault_dropped;
     rb.fifo_words_duplicated += f.fault_duplicated;
   }
+  // Faults that landed on this system, site by site: the process-wide
+  // injector also counts every other system's.
+  rb.faults_injected = rb.icap_corrupted + rb.icap_timeouts +
+                       rb.fifo_words_dropped + rb.fifo_words_duplicated +
+                       stuck_events + sys.frame_repairs();
   return stats;
 }
 

@@ -27,7 +27,7 @@ struct FifoStats {
 /// Fault-injection and self-healing counters (all zero on a run without
 /// injection): what was injected, what each recovery layer did about it.
 struct RobustnessStats {
-  std::uint64_t faults_injected = 0;  ///< all sites, from the injector
+  std::uint64_t faults_injected = 0;  ///< all sites, on this system
   std::uint64_t icap_corrupted = 0;
   std::uint64_t icap_timeouts = 0;
   std::uint64_t reconfig_retries = 0;

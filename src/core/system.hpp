@@ -67,13 +67,16 @@ class VapresSystem {
 
   /// Counts a switch rollback or scrub repair against this system and
   /// forwards it to the process-wide FaultInjector scoreboard (same
-  /// arguments). reconfig() counts its own retries and fallbacks. Not
-  /// part of a snapshot: a restored system counts from zero.
+  /// arguments). reconfig() counts its own retries and fallbacks.
   void note_recovery(sim::RecoveryEvent event, std::uint32_t track = 0,
                      std::uint64_t detail = 0);
   std::uint64_t recoveries(sim::RecoveryEvent event) const {
     return recoveries_[static_cast<std::size_t>(event)];
   }
+  /// Counts a configuration-frame upset a scrubber found (and rewrote)
+  /// on this system: the kConfigFrameUpset injections that landed here.
+  void note_frame_repair() { ++frame_repairs_; }
+  std::uint64_t frame_repairs() const { return frame_repairs_; }
 
   int num_rsbs() const { return static_cast<int>(rsbs_.size()); }
   Rsb& rsb(int index = 0);
@@ -163,6 +166,7 @@ class VapresSystem {
   std::vector<fabric::ClbRect> floorplan_;
   std::vector<std::unique_ptr<Rsb>> rsbs_;
   std::array<std::uint64_t, sim::kNumRecoveryEvents> recoveries_{};
+  std::uint64_t frame_repairs_ = 0;
 };
 
 }  // namespace vapres::core

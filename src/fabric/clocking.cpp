@@ -46,8 +46,7 @@ void Bufgmux::select(int index) {
   select_ = index;
 }
 
-Bufr::Bufr(std::string name, ClockRegionId location)
-    : name_(std::move(name)), location_(location) {}
+Bufr::Bufr(ClockRegionId location) : location_(location) {}
 
 bool Bufr::can_drive(const ClbRect& rect, const DeviceGeometry& dev) const {
   for (const ClockRegionId& region : regions_spanned(rect, dev)) {

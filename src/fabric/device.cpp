@@ -4,29 +4,23 @@
 
 namespace vapres::fabric {
 
-DeviceGeometry::DeviceGeometry(std::string name, int clb_rows, int clb_cols,
-                               int brams, int dsps)
-    : name_(std::move(name)),
-      clb_rows_(clb_rows),
-      clb_cols_(clb_cols),
-      brams_(brams),
-      dsps_(dsps) {
+DeviceGeometry::DeviceGeometry(std::string name, int clb_rows, int clb_cols)
+    : name_(std::move(name)), clb_rows_(clb_rows), clb_cols_(clb_cols) {
   VAPRES_REQUIRE(clb_rows_ > 0 && clb_cols_ > 0, "device must have CLBs");
   VAPRES_REQUIRE(clb_rows_ % kClockRegionRows == 0,
                  "CLB rows must be a multiple of the clock-region height");
   VAPRES_REQUIRE(clb_cols_ % 2 == 0,
                  "CLB columns must split into two clock-region halves");
-  VAPRES_REQUIRE(brams >= 0 && dsps >= 0, "resource counts must be >= 0");
 }
 
 DeviceGeometry DeviceGeometry::xc4vlx25() {
-  // 96 x 28 CLB array -> 10,752 slices; 72 RAMB16; 48 DSP48 (XtremeDSP).
-  return DeviceGeometry("xc4vlx25", 96, 28, 72, 48);
+  // 96 x 28 CLB array -> 10,752 slices.
+  return DeviceGeometry("xc4vlx25", 96, 28);
 }
 
 DeviceGeometry DeviceGeometry::xc4vlx60() {
-  // 128 x 52 CLB array -> 26,624 slices; 160 RAMB16; 64 DSP48.
-  return DeviceGeometry("xc4vlx60", 128, 52, 160, 64);
+  // 128 x 52 CLB array -> 26,624 slices.
+  return DeviceGeometry("xc4vlx60", 128, 52);
 }
 
 }  // namespace vapres::fabric

@@ -2,21 +2,18 @@
 //
 // Everything the paper's floorplanning rules reason about is geometric:
 // the CLB array, local clock regions (16 CLB rows tall, half the device
-// wide, Section III.B.2), and slice/BRAM/DSP budgets. The numbers for the
+// wide, Section III.B.2), and the slice budget. The numbers for the
 // XC4VLX25 (ML401 board) and XC4VLX60 match the Xilinx DS112 datasheet;
 // arbitrary devices can be constructed for parameter sweeps.
 #pragma once
 
 #include <string>
 
-#include "fabric/resources.hpp"
-
 namespace vapres::fabric {
 
 class DeviceGeometry {
  public:
-  DeviceGeometry(std::string name, int clb_rows, int clb_cols, int brams,
-                 int dsps);
+  DeviceGeometry(std::string name, int clb_rows, int clb_cols);
 
   /// The XC4VLX25 on the ML401 evaluation board used for the prototype.
   static DeviceGeometry xc4vlx25();
@@ -35,9 +32,6 @@ class DeviceGeometry {
   int total_slices() const {
     return clb_rows_ * clb_cols_ * kSlicesPerClb;
   }
-  ResourceVector total_resources() const {
-    return ResourceVector{total_slices(), brams_, dsps_};
-  }
 
   /// Clock regions per column of regions (the vertical count).
   int clock_region_rows() const { return clb_rows_ / kClockRegionRows; }
@@ -53,8 +47,6 @@ class DeviceGeometry {
   std::string name_;
   int clb_rows_;
   int clb_cols_;
-  int brams_;
-  int dsps_;
 };
 
 }  // namespace vapres::fabric

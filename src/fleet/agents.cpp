@@ -42,10 +42,6 @@ FabricAgent::FabricAgent(int index, FabricHost host, StateDb& db,
                          FleetCounters& counters)
     : index_(index), host_(host), db_(db), counters_(counters) {}
 
-sim::Cycles FabricAgent::cycle_count() const {
-  return host_.sys->system_clock().cycle_count();
-}
-
 FabricAgent::AdmitOutcome FabricAgent::admit_raw(
     const sched::AppRequest& request) {
   AdmitOutcome out;
@@ -74,8 +70,7 @@ void FabricAgent::adopt_masters_from(const FabricAgent& src) {
 }
 
 FabricSnapshot FabricAgent::snapshot(const std::string& tenant,
-                                     const sched::AppRequest& request,
-                                     sim::Cycles slowest_cycle) const {
+                                     const sched::AppRequest& request) const {
   const sched::ApplicationScheduler& sched = *host_.sched;
   FabricSnapshot snap;
   snap.fabric = index_;
@@ -88,10 +83,7 @@ FabricSnapshot FabricAgent::snapshot(const std::string& tenant,
         1.0 - static_cast<double>(sched.free_channel_pairs()) /
                   static_cast<double>(total_pairs);
   }
-  snap.free_prrs = sched.fabric().free_count();
-  snap.total_prrs = sched.fabric().num_slots();
   snap.queued = sched.queued_count();
-  snap.clock_lead = cycle_count() - slowest_cycle;
   for (const auto& [id, row] : db_.apps()) {
     if (row.fabric != index_) continue;
     if (db_.tenant(row.tenant).name != tenant) continue;
@@ -319,17 +311,9 @@ void QuotaAgent::restart() {
 // ---- RouterAgent -------------------------------------------------------
 
 RouterAgent::RouterAgent(StateDb& db, const FleetSpec& spec,
-                         const CostModel& model,
                          std::vector<std::unique_ptr<FabricAgent>>& fabrics,
                          FleetCounters& counters)
-    : db_(db), spec_(spec), model_(model), fabrics_(fabrics),
-      counters_(counters) {}
-
-sim::Cycles RouterAgent::slowest_cycle() const {
-  sim::Cycles c = fabrics_.front()->cycle_count();
-  for (const auto& f : fabrics_) c = std::min(c, f->cycle_count());
-  return c;
-}
+    : db_(db), spec_(spec), fabrics_(fabrics), counters_(counters) {}
 
 sim::Picoseconds RouterAgent::now_ps() const {
   return fleet_now_ps(fabrics_);
@@ -353,16 +337,14 @@ std::vector<int> RouterAgent::plan_order(const std::string& tenant,
     db_.append(AgentId::kRouter, Op::kRouterCursor, 0, {(cursor + 1) % n});
     return order;
   }
-  const sim::Cycles slowest = slowest_cycle();
   std::vector<std::pair<double, int>> scored;
   for (int i = 0; i < n; ++i) {
     // A health-isolated fabric scores +inf, exactly like a capability
     // mismatch: it takes no new traffic until un-isolated.
     if (db_.isolated(i)) continue;
-    const double s = model_.score(
-        fabrics_[static_cast<std::size_t>(i)]->snapshot(tenant, request,
-                                                        slowest));
-    if (s != CostModel::kExcluded) scored.emplace_back(s, i);
+    const double s = route_score(
+        fabrics_[static_cast<std::size_t>(i)]->snapshot(tenant, request));
+    if (s != kExcluded) scored.emplace_back(s, i);
   }
   // Ties break on fabric index: identical fleets route identically.
   std::stable_sort(scored.begin(), scored.end());
@@ -466,7 +448,7 @@ bool RouterAgent::poll() {
       static_cast<sched::AdmissionVerdict>(row.last_verdict);
   if (row.order.empty() && row.attempts == 0) {
     const FabricSnapshot snap =
-        fabrics_.front()->snapshot(tenant, request, slowest_cycle());
+        fabrics_.front()->snapshot(tenant, request);
     verdict = snap.probe.verdict;
     reason_ = snap.probe.reason.empty() ? "no eligible fabric"
                                         : snap.probe.reason;

@@ -102,8 +102,6 @@ class FabricAgent {
   const sched::ApplicationScheduler& sched() const { return *host_.sched; }
   core::VapresSystem& sys() { return *host_.sys; }
 
-  sim::Cycles cycle_count() const;
-
   /// Result of one delegated admission attempt.
   struct AdmitOutcome {
     int local = -1;
@@ -123,12 +121,10 @@ class FabricAgent {
   void stop_local(int local);
   void adopt_masters_from(const FabricAgent& src);
 
-  /// Read-only scoring snapshot for the router. `slowest_cycle` is the
-  /// fleet-wide minimum system-clock count (clock_lead base);
-  /// tenant_running is derived from table app rows + live records.
+  /// Read-only scoring snapshot for the router; tenant_running is
+  /// derived from table app rows + live records.
   FabricSnapshot snapshot(const std::string& tenant,
-                          const sched::AppRequest& request,
-                          sim::Cycles slowest_cycle) const;
+                          const sched::AppRequest& request) const;
 
   /// Publishes a kFabricState row when occupancy changed since the last
   /// publication. Returns whether it journaled.
@@ -201,7 +197,7 @@ class QuotaAgent {
 
 class RouterAgent {
  public:
-  RouterAgent(StateDb& db, const FleetSpec& spec, const CostModel& model,
+  RouterAgent(StateDb& db, const FleetSpec& spec,
               std::vector<std::unique_ptr<FabricAgent>>& fabrics,
               FleetCounters& counters);
 
@@ -222,7 +218,6 @@ class RouterAgent {
   void restart();
 
  private:
-  sim::Cycles slowest_cycle() const;
   sim::Picoseconds now_ps() const;
   std::vector<int> plan_order(const std::string& tenant,
                               const sched::AppRequest& request);
@@ -234,7 +229,6 @@ class RouterAgent {
 
   StateDb& db_;
   const FleetSpec& spec_;
-  const CostModel& model_;
   std::vector<std::unique_ptr<FabricAgent>>& fabrics_;
   FleetCounters& counters_;
   std::string reason_;

@@ -29,11 +29,8 @@ const char* migrate_outcome_name(MigrateOutcome o) {
   return "?";
 }
 
-ControlPlane::ControlPlane(const FleetSpec& spec,
-                           std::unique_ptr<CostModel> model)
+ControlPlane::ControlPlane(const FleetSpec& spec)
     : spec_(spec),
-      model_(model ? std::move(model)
-                   : std::make_unique<WeightedCostModel>(spec.weights)),
       db_(static_cast<int>(spec.fabrics.size())) {
   VAPRES_REQUIRE(!spec_.fabrics.empty(), "fleet needs at least one fabric");
   for (const FabricSpec& fs : spec_.fabrics) {
@@ -53,8 +50,8 @@ ControlPlane::ControlPlane(const FleetSpec& spec,
   }
   quota_ = std::make_unique<QuotaAgent>(db_, spec_, fabric_agents_,
                                         counters_);
-  router_ = std::make_unique<RouterAgent>(db_, spec_, *model_,
-                                          fabric_agents_, counters_);
+  router_ = std::make_unique<RouterAgent>(db_, spec_, fabric_agents_,
+                                          counters_);
   migration_ = std::make_unique<MigrationAgent>(db_, fabric_agents_,
                                                 counters_);
   if (spec_.health.enabled) {
@@ -326,8 +323,8 @@ void ControlPlane::schedule_kill(AgentId agent, std::uint64_t at_version) {
 std::vector<std::string> ControlPlane::restart_agent(AgentId agent) {
   switch (agent) {
     case AgentId::kRouter:
-      router_ = std::make_unique<RouterAgent>(db_, spec_, *model_,
-                                              fabric_agents_, counters_);
+      router_ = std::make_unique<RouterAgent>(db_, spec_, fabric_agents_,
+                                              counters_);
       router_->restart();
       return {};
     case AgentId::kQuota:

@@ -24,7 +24,6 @@
 
 #include "core/system.hpp"
 #include "fleet/agents.hpp"
-#include "fleet/cost.hpp"
 #include "fleet/health_agent.hpp"
 #include "fleet/quota.hpp"
 #include "fleet/spec.hpp"
@@ -99,9 +98,7 @@ class ControlPlane {
   using Counters = FleetCounters;
 
   /// Builds every fabric (bring-up included) and the agents over them.
-  /// `model` defaults to a WeightedCostModel over `spec.weights`.
-  explicit ControlPlane(const FleetSpec& spec,
-                        std::unique_ptr<CostModel> model = nullptr);
+  explicit ControlPlane(const FleetSpec& spec);
 
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
@@ -269,7 +266,6 @@ class ControlPlane {
 
   FleetSpec spec_;
   std::vector<std::unique_ptr<Fabric>> fabrics_;
-  std::unique_ptr<CostModel> model_;
   StateDb db_;
   FleetCounters counters_;
   std::vector<std::optional<FabricCheckpoint>> checkpoints_;

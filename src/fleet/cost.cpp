@@ -26,10 +26,15 @@ bool capacity_blocked(sched::AdmissionVerdict v) {
   }
 }
 
-double WeightedCostModel::score(const FabricSnapshot& snap) const {
+double route_score(const FabricSnapshot& snap) {
   if (!snap.probe.admissible && capability_mismatch(snap.probe.verdict)) {
     return kExcluded;
   }
+  // Term weights. Every term is normalized to roughly [0, 1] first.
+  constexpr double kOccupancyWeight = 2.0;
+  constexpr double kFragmentationWeight = 2.0;
+  constexpr double kQueueDelayWeight = 1.0;
+  constexpr double kAffinityWeight = 0.5;
   // Free-capacity term: prefer the *fullest* fabric that can still host
   // the app (best-fit consolidation). Spreading load evenly looks fair
   // but dribbles a little occupancy onto every fabric, so a burst finds
@@ -60,8 +65,8 @@ double WeightedCostModel::score(const FabricSnapshot& snap) const {
   // not absorb unbounded load.
   const double affinity =
       std::min(1.0, 0.5 * static_cast<double>(snap.tenant_running));
-  return w_.occupancy * free_fraction + w_.fragmentation * frag +
-         w_.queue_delay * queue - w_.affinity * affinity;
+  return kOccupancyWeight * free_fraction + kFragmentationWeight * frag +
+         kQueueDelayWeight * queue - kAffinityWeight * affinity;
 }
 
 }  // namespace vapres::fleet

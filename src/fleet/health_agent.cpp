@@ -40,8 +40,7 @@ HealthAgent::HealthAgent(StateDb& db, const FleetSpec& spec,
       spec_(spec),
       fabrics_(fabrics),
       counters_(counters),
-      engine_(spec.health.rules),
-      sampler_(spec.health.series_capacity) {
+      engine_(spec.health.rules) {
   for (const obs::health::HealthRuleSpec& r : spec.health.rules) {
     VAPRES_REQUIRE(r.fabric >= -1 && r.fabric < db_.num_fabrics(),
                    "health rule indicts an unknown fabric");

@@ -114,13 +114,6 @@ int QuotaGovernor::idle(const std::string& name) const {
   return it != tenants_.end() ? it->second.idle : 0;
 }
 
-std::vector<std::string> QuotaGovernor::tenant_names() const {
-  std::vector<std::string> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, t] : tenants_) out.push_back(name);
-  return out;
-}
-
 void QuotaGovernor::restore(const std::string& name, int budget, int usage,
                             int pressure, int idle) {
   Tenant& t = tenant(name);
@@ -133,14 +126,6 @@ void QuotaGovernor::restore(const std::string& name, int budget, int usage,
 bool QuotaGovernor::over_quota(const std::string& name) const {
   const auto it = tenants_.find(name);
   return it != tenants_.end() && it->second.usage > it->second.budget;
-}
-
-std::vector<std::string> QuotaGovernor::over_quota_tenants() const {
-  std::vector<std::string> out;
-  for (const auto& [name, t] : tenants_) {
-    if (t.usage > t.budget) out.push_back(name);
-  }
-  return out;
 }
 
 }  // namespace vapres::fleet

@@ -50,17 +50,12 @@ class QuotaGovernor {
   /// Current shrink-side streak (consecutive low-usage ticks).
   int idle(const std::string& tenant) const;
   bool over_quota(const std::string& tenant) const;
-  /// Every tenant the governor tracks, in name order.
-  std::vector<std::string> tenant_names() const;
 
   /// Reinstates one tenant's full hysteresis state — the warm-restart
   /// path: a restarted QuotaAgent rebuilds its governor from journaled
   /// kTenantState rows so streaks resume mid-count instead of zeroing.
   void restore(const std::string& tenant, int budget, int usage,
                int pressure, int idle);
-  /// Tenants currently using more than their budget, sorted by name so
-  /// preemption victim selection is deterministic.
-  std::vector<std::string> over_quota_tenants() const;
 
   std::uint64_t grows() const { return grows_; }
   std::uint64_t shrinks() const { return shrinks_; }

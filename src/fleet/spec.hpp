@@ -2,11 +2,11 @@
 //
 // A FleetSpec names N independently-simulated fabrics — each a full
 // VapresSystem (its own MicroBlaze, ICAP, SDRAM, RSB, clock ladder) —
-// plus the routing policy, cost-model weights, and quota configuration
-// the ControlPlane wires over them. Fabrics are heterogeneous on
-// purpose: different PRR counts, footprint mixes (big 16x6 sites vs
-// small 16x2 sites), IOM channel counts, and PRR clock ladders, so the
-// router has real capability and capacity differences to reason about.
+// plus the routing policy and quota configuration the ControlPlane wires
+// over them. Fabrics are heterogeneous on purpose: different PRR counts,
+// footprint mixes (big 16x6 sites vs small 16x2 sites), IOM channel
+// counts, and PRR clock ladders, so the router has real capability and
+// capacity differences to reason about.
 // The canonical shapes below all validate against the XC4VLX25 clock
 // region rules (16-row regions, one PRR per region).
 #pragma once
@@ -49,23 +49,11 @@ struct FabricSpec {
 
 /// How the router orders candidate fabrics for one submission.
 enum class RoutePolicy {
-  kCostBased,   ///< score every fabric with the cost model, best first
+  kCostBased,   ///< score every fabric with route_score, best first
   kRoundRobin,  ///< rotate blindly; fallback order is submission order
 };
 
 const char* policy_name(RoutePolicy p);
-
-/// Weights of the WeightedCostModel terms (see fleet/cost.hpp). All
-/// terms are normalized to roughly [0, 1] before weighting.
-struct CostWeights {
-  /// Free-capacity penalty: prefer the fullest admissible fabric
-  /// (best-fit consolidation keeps whole fabrics in reserve for
-  /// bursts; even spreading measurably loses admissions).
-  double occupancy = 2.0;
-  double fragmentation = 2.0;  ///< defrag work + slack the plan strands
-  double queue_delay = 1.0;    ///< submissions waiting in admission queue
-  double affinity = 0.5;       ///< bonus: tenant already runs here
-};
 
 /// Elastic per-tenant quota knobs (see fleet/quota.hpp).
 struct QuotaConfig {
@@ -93,8 +81,6 @@ struct QuotaConfig {
 /// its digests are untouched.
 struct HealthConfig {
   bool enabled = false;
-  /// Retained samples per time-series ring in the HealthSampler.
-  std::size_t series_capacity = 256;
   /// When false the monitor observes and journals rule state but never
   /// isolates or drains (alerting-only mode; also the bench's
   /// monitoring-overhead measurement mode).
@@ -105,7 +91,6 @@ struct HealthConfig {
 struct FleetSpec {
   std::vector<FabricSpec> fabrics;
   RoutePolicy policy = RoutePolicy::kCostBased;
-  CostWeights weights;
   QuotaConfig quota;
   HealthConfig health;
   /// Scheduler options applied to every fabric's ApplicationScheduler.

@@ -145,7 +145,7 @@ core::SystemParams parse_system_spec(const std::string& text) {
         params.device = fabric::DeviceGeometry::xc4vlx60();
       } else if (t.size() == 4 && t[1] == "custom") {
         params.device = fabric::DeviceGeometry(
-            "custom", to_int(t[2], ln), to_int(t[3], ln), 64, 32);
+            "custom", to_int(t[2], ln), to_int(t[3], ln));
       } else {
         fail(ln, "device must be xc4vlx25, xc4vlx60, or custom R C");
       }

@@ -126,21 +126,14 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
 
   obs::Registry::instance().reset();
 
-  fleet::FleetSpec fleet_spec =
-      opt.fleet ? *opt.fleet : fleet::FleetSpec::uniform(2);
-  if (opt.health) {
-    fleet_spec.health = *opt.health;
-    if (fleet_spec.health.enabled && fleet_spec.health.rules.empty()) {
-      fleet_spec.health.rules = fleet::standard_health_rules(fleet_spec);
-    }
-  }
-  fleet::ControlPlane fc(fleet_spec);
+  fleet::ControlPlane fc(opt.fleet ? *opt.fleet
+                                   : fleet::FleetSpec::uniform(2));
   if (!opt.flight_dir.empty()) fc.set_flight_dir(opt.flight_dir);
   const int nf = fc.num_fabrics();
   for (int i = 0; i < nf; ++i) {
     core::Rsb& rsb = fc.system(i).rsb(0);
     for (int j = 0; j < rsb.num_ioms(); ++j) {
-      rsb.iom(j).set_received_history_limit(opt.history_limit_words);
+      rsb.iom(j).set_received_history_limit(kHistoryLimitWords);
     }
   }
 
@@ -226,7 +219,7 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
     const sched::AppRecord& a = fc.record_of(fleet_id);
     core::Iom& iom = fc.system(loc.fabric).rsb(0).iom(a.sink.iom);
     check_stream_gap(a.request.name, iom.max_output_gap(a.sink.channel),
-                     opt.gap_bound_cycles, res.invariants);
+                     kGapBoundCycles, res.invariants);
     fc.stop(fleet_id);
     const sched::AppRecord& done = fc.record_of(fleet_id);
     fold(res.digest, static_cast<std::uint64_t>(fleet_id));
@@ -254,8 +247,7 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
         const sched::AppRecord& a = s.app(id);
         if (a.state == sched::AppState::kQueued || a.running()) break;
         if (a.state != sched::AppState::kRejected) {
-          check_word_conservation(a, res.invariants,
-                                  opt.pipeline_slack_words);
+          check_word_conservation(a, res.invariants);
         }
         mark = id + 1;
       }

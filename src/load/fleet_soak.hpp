@@ -32,10 +32,7 @@ struct FleetSoakOptions {
   std::uint64_t lifetimes = 1000;
   std::uint64_t seed = 1;
   int num_tenants = 3;
-  sim::Cycles gap_bound_cycles = 2000;
-  std::uint64_t pipeline_slack_words = 64;
   std::uint64_t checkpoint_interval = 256;
-  std::size_t history_limit_words = 4096;
   bool verbose = false;
   /// Crash churn: every N routed submissions, schedule a kill of one
   /// random control-plane agent at a near-future journal version
@@ -48,13 +45,11 @@ struct FleetSoakOptions {
   /// their duration (the bench_health fault-storm knob), exactly like
   /// run_soak's storm phases.
   std::optional<ScenarioSpec> scenario;
-  /// Override the fleet; default is FleetSpec::uniform(2).
+  /// Override the fleet (its `health` config turns the monitor on);
+  /// default is FleetSpec::uniform(2).
   std::optional<fleet::FleetSpec> fleet;
 
   // ---- health monitor / flight recorder (docs/HEALTH.md) --------------
-  /// Overrides the fleet spec's health config when set. An enabled
-  /// override with no rules gets standard_health_rules(fleet).
-  std::optional<fleet::HealthConfig> health;
   /// Submissions between ControlPlane::health_tick() calls when health
   /// monitoring is enabled.
   std::uint64_t health_tick_every = 64;

@@ -8,6 +8,7 @@
 // append human-readable violations to an InvariantReport.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,6 +18,20 @@
 #include "sim/time.hpp"
 
 namespace vapres::load {
+
+// Bounds and caps shared by the soak harnesses (load::run_soak,
+// load::run_fleet_soak).
+
+/// Largest tolerated gap between consecutive sink words on a live
+/// channel, in system cycles (covers slow rate classes and hitless
+/// relocations of the app's own modules).
+inline constexpr sim::Cycles kGapBoundCycles = 2000;
+/// Words a chain may legitimately hold in flight at teardown (module
+/// state, channel FIFOs) before conservation counts them as lost.
+inline constexpr std::uint64_t kPipelineSlackWords = 64;
+/// Per-sink-channel received-word history cap: a soak run must cap, or
+/// sink histories grow with total words streamed.
+inline constexpr std::size_t kHistoryLimitWords = 4096;
 
 struct InvariantReport {
   std::vector<std::string> violations;
@@ -100,7 +115,8 @@ inline void check_accounting(const sched::ApplicationScheduler& s,
 /// route before counting).
 inline void check_word_conservation(const sched::AppRecord& a,
                                     InvariantReport& r,
-                                    std::uint64_t pipeline_slack = 64) {
+                                    std::uint64_t pipeline_slack =
+                                        kPipelineSlackWords) {
   ++r.checks_run;
   if (a.final_words_out > a.final_words_in) {
     r.fail(a.request.name + ": sink got " +

@@ -174,7 +174,7 @@ SoakResult run_soak(const SoakOptions& opt) {
     sys_owner->bring_up_all_sites();
     for (int i = 0; i < sys_owner->rsb(0).num_ioms(); ++i) {
       sys_owner->rsb(0).iom(i).set_received_history_limit(
-          opt.history_limit_words);
+          kHistoryLimitWords);
     }
     sched_owner = std::make_unique<sched::ApplicationScheduler>(*sys_owner);
   }
@@ -191,7 +191,7 @@ SoakResult run_soak(const SoakOptions& opt) {
     const sched::AppRecord& a = sched.app(id);
     core::Iom& iom = rsb.iom(a.sink.iom);
     check_stream_gap(a.request.name, iom.max_output_gap(a.sink.channel),
-                     opt.gap_bound_cycles, res.invariants);
+                     kGapBoundCycles, res.invariants);
     sched.stop(id);
     const sched::AppRecord& done = sched.app(id);
     fold(res.digest, static_cast<std::uint64_t>(id));
@@ -251,7 +251,7 @@ SoakResult run_soak(const SoakOptions& opt) {
       const sched::AppRecord& a = sched.app(id);
       if (a.state == sched::AppState::kQueued || a.running()) break;
       if (a.state != sched::AppState::kRejected) {
-        check_word_conservation(a, res.invariants, opt.pipeline_slack_words);
+        check_word_conservation(a, res.invariants);
       }
       conservation_watermark = id + 1;
     }

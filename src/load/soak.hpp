@@ -23,18 +23,8 @@ namespace vapres::load {
 struct SoakOptions {
   std::uint64_t lifetimes = 100'000;
   std::uint64_t seed = 1;
-  /// Largest tolerated gap between consecutive sink words on a live
-  /// channel, in system cycles (covers slow rate classes and hitless
-  /// relocations of the app's own modules).
-  sim::Cycles gap_bound_cycles = 2000;
-  /// Words a chain may legitimately hold in flight at teardown (module
-  /// state, channel FIFOs) before conservation counts them as lost.
-  std::uint64_t pipeline_slack_words = 64;
   /// Submissions between checkpoint sweeps (retire + invariants + RSS).
   std::uint64_t checkpoint_interval = 512;
-  /// Per-sink-channel received-word history cap (0 = unlimited; a soak
-  /// run must cap, or sink histories grow with total words streamed).
-  std::size_t history_limit_words = 4096;
   /// Print per-phase transitions and periodic checkpoint lines.
   bool verbose = false;
   /// Override the workload; default is ScenarioSpec::standard(seed,

@@ -138,7 +138,6 @@ class Span {
                        std::int64_t cycles = -1);
 
   bool open() const { return open_; }
-  sim::Picoseconds begin_ps() const { return begin_ps_; }
 
  private:
   Subsystem subsystem_ = Subsystem::kKernel;

@@ -78,7 +78,6 @@ class HealthSampler {
   void sample(sim::Cycles now);
 
   std::uint64_t samples_taken() const { return samples_; }
-  std::size_t num_series() const { return series_.size(); }
   /// nullptr when the key has never been sampled.
   const TimeSeries* series(const std::string& key) const;
   std::vector<std::string> keys() const;

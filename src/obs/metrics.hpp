@@ -5,9 +5,9 @@
 // the returned reference; bumping it afterwards is a plain integer
 // operation. Registry::snapshot() freezes every value into a plain
 // struct for reporting; to_string() renders the text export used by
-// benches and examples. core::SystemStats publishes its whole snapshot
-// here (core/stats.hpp), so ad-hoc stats structs and first-class
-// metrics meet in one place.
+// benches and examples. core::SystemStats (core/stats.hpp) is a separate
+// per-system struct that collect_stats() reads from the components; it
+// is not published here.
 #pragma once
 
 #include <array>

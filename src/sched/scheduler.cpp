@@ -96,10 +96,7 @@ int ApplicationScheduler::submit(AppRequest request) {
       obs::Subsystem::kSched, obs::ev::kSubmit, sched_track(),
       sys_.sim().now(), static_cast<std::uint64_t>(stored.id),
       static_cast<std::uint64_t>(stored.request.priority));
-  if (opt_.prefetch_hints &&
-      opt_.source == core::ReconfigSource::kManaged) {
-    hint_request(stored);
-  }
+  if (opt_.source == core::ReconfigSource::kManaged) hint_request(stored);
   return stored.id;
 }
 
@@ -458,7 +455,9 @@ ApplicationScheduler::ChainPlan ApplicationScheduler::plan_chain(
     const AppRequest& request, int app_id) const {
   ChainPlan plan;
   FabricMap copy = map_;
-  int budget = opt_.enable_defrag ? opt_.max_defrag_migrations : 0;
+  // Live relocations one admission may spend.
+  constexpr int kMaxDefragMigrations = 4;
+  int budget = opt_.enable_defrag ? kMaxDefragMigrations : 0;
   const int k = static_cast<int>(request.modules.size());
   for (int i = 0; i < k; ++i) {
     const std::string& m = request.modules[i];
@@ -543,11 +542,6 @@ std::vector<int> ApplicationScheduler::prr_owners() const {
     owners.push_back(s.free ? -1 : s.app_id);
   }
   return owners;
-}
-
-ApplicationScheduler::ChannelOccupancy
-ApplicationScheduler::channel_occupancy() const {
-  return ChannelOccupancy{source_busy_, sink_busy_};
 }
 
 int ApplicationScheduler::pick_victim(int priority) const {

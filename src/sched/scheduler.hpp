@@ -52,14 +52,10 @@ class ApplicationScheduler {
     PlacementPolicy policy = PlacementPolicy::kBestFit;
     bool enable_defrag = true;
     bool enable_preemption = true;
-    /// Live relocations one admission may spend (defrag plan budget).
-    int max_defrag_migrations = 4;
+    /// Under kManaged, submit() feeds the PrefetchEngine admission-queue
+    /// and defrag-plan hints, so staging overlaps the wait in the queue
+    /// (the other sources stage synchronously at launch).
     core::ReconfigSource source = core::ReconfigSource::kSdramArray;
-    /// Feed the PrefetchEngine with admission-queue and defrag-plan
-    /// hints at submit time, so staging overlaps the wait in the queue.
-    /// Only consulted under kManaged (the other sources stage
-    /// synchronously at launch).
-    bool prefetch_hints = true;
   };
 
   /// Outcome of a probe_admit() dry run: would this request launch right
@@ -110,8 +106,6 @@ class ApplicationScheduler {
   int num_apps() const {
     return first_id_ + static_cast<int>(apps_.size());
   }
-  /// Records still held in memory (ids >= first_live_id()).
-  int live_records() const { return static_cast<int>(apps_.size()); }
   int first_live_id() const { return first_id_; }
   /// Requires first_live_id() <= app_id < num_apps(); retired records
   /// are gone (their contribution lives on in accounting() totals).
@@ -155,14 +149,6 @@ class ApplicationScheduler {
   /// checks its journaled app locations against what the fabric
   /// actually hosts.
   std::vector<int> prr_owners() const;
-
-  /// Busy flags per IOM channel, [iom][channel] — the channel-side
-  /// reconciliation export matching prr_owners().
-  struct ChannelOccupancy {
-    std::vector<std::vector<bool>> source;
-    std::vector<std::vector<bool>> sink;
-  };
-  ChannelOccupancy channel_occupancy() const;
 
   const bitstream::RelocatingStore& store() const { return store_; }
 

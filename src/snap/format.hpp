@@ -36,7 +36,7 @@ std::uint64_t fnv1a(const void* data, std::size_t size,
 class SnapshotWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x56534E50;  // "VSNP"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   /// `epoch` is the caller-maintained monotonic snapshot counter; a
   /// restored system's next checkpoint must use a strictly larger epoch.

@@ -201,6 +201,14 @@ struct SystemSnapshot::Fields {
     ar.i64(rc.failures_);
   }
 
+  // ---- recovery: the system's own recovery and frame-repair counts
+  // (the process-wide scoreboard travels in the fault section).
+  template <class Ar>
+  static void recoveries(Ar& ar, Ref<Ar, core::VapresSystem> sys) {
+    for (auto& n : sys.recoveries_) ar.u64(n);
+    ar.u64(sys.frame_repairs_);
+  }
+
   // ---- storage: CF files and SDRAM arrays (list order = deterministic),
   // replayed into the fresh stores through their public API.
   template <class Ar>
@@ -235,9 +243,6 @@ struct SystemSnapshot::Fields {
   // ---- bitman: cache residency metadata and predictor tables.
   template <class Ar>
   static void bitman_cache(Ar& ar, Ref<Ar, bitman::BitstreamManager> bm) {
-    ar.boolean(bm.opt_.stage_on_miss);
-    ar.i64(bm.opt_.stream_chunk_bytes);
-    ar.boolean(bm.opt_.predict_next);
     auto& st = bm.stats_;
     ar.u64(st.hits);
     ar.u64(st.misses);
@@ -677,9 +682,7 @@ struct SystemSnapshot::Fields {
     ar.u8(j.opt.policy);
     ar.boolean(j.opt.enable_defrag);
     ar.boolean(j.opt.enable_preemption);
-    ar.i64(j.opt.max_defrag_migrations);
     ar.u8(j.opt.source);
-    ar.boolean(j.opt.prefetch_hints);
     for (auto& c : j.counters) ar.i64(c);
     ar.list(j.slots, 1 + 8 + 8 + kStr + 8 + 1, [&](auto& s) {
       ar.boolean(s.free);
@@ -858,6 +861,7 @@ std::string SystemSnapshot::save(core::VapresSystem& sys, std::uint64_t epoch,
   section("dcr", [&] { Fields::dcr(w, sys.dcr_); });
   section("icap", [&] { Fields::icap(w, sys.icap_); });
   section("reconfig", [&] { Fields::reconfig(w, *sys.reconfig_); });
+  section("recovery", [&] { Fields::recoveries(w, sys); });
   section("storage", [&] { Fields::storage(w, sys); });
   section("bitman", [&] { Fields::bitman_cache(w, *sys.bitman_); });
   for (int ri = 0; ri < sys.num_rsbs(); ++ri) {
@@ -941,6 +945,8 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
   Fields::icap(r, sys->icap_);
   r.open_section("reconfig");
   Fields::reconfig(r, *sys->reconfig_);
+  r.open_section("recovery");
+  Fields::recoveries(r, *sys);
   r.open_section("bitman");
   Fields::bitman_cache(r, *sys->bitman_);
   r.open_section("fault");

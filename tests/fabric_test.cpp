@@ -30,8 +30,8 @@ TEST(Device, Xc4vlx60Geometry) {
 }
 
 TEST(Device, RejectsUnalignedRows) {
-  EXPECT_THROW(DeviceGeometry("bad", 20, 28, 0, 0), ModelError);
-  EXPECT_THROW(DeviceGeometry("bad", 96, 27, 0, 0), ModelError);
+  EXPECT_THROW(DeviceGeometry("bad", 20, 28), ModelError);
+  EXPECT_THROW(DeviceGeometry("bad", 96, 27), ModelError);
 }
 
 // ------------------------------------------------------------- ClockRegions
@@ -126,7 +126,7 @@ TEST(Clocking, BufgmuxSelects) {
 
 TEST(Clocking, BufrReach) {
   const auto dev = DeviceGeometry::xc4vlx25();
-  const Bufr bufr("b", ClockRegionId{1, 0});
+  const Bufr bufr(ClockRegionId{1, 0});
   // Own region and the adjacent ones.
   EXPECT_TRUE(bufr.can_drive(ClbRect{0, 0, 48, 10}, dev));   // regions 0-2
   EXPECT_FALSE(bufr.can_drive(ClbRect{48, 0, 16, 10}, dev)); // region 3
@@ -136,7 +136,7 @@ TEST(Clocking, BufrReach) {
 TEST(Clocking, PrrClockTreeRetunesDomain) {
   sim::Simulator sim;
   auto& domain = sim.create_domain("prr", 100.0);
-  PrrClockTree tree(Bufr("b", ClockRegionId{0, 0}), Bufgmux(100.0, 50.0),
+  PrrClockTree tree(Bufr(ClockRegionId{0, 0}), Bufgmux(100.0, 50.0),
                     domain);
   EXPECT_DOUBLE_EQ(domain.frequency_mhz(), 100.0);
   tree.select(1);

@@ -265,6 +265,22 @@ TEST(FaultInjection, ScrubberRepairsConfigFrameUpsets) {
   EXPECT_EQ(core::collect_stats(*rig.sys).robustness.scrub_repairs, 2u);
 }
 
+// Each system reports the faults that landed on it; the injector's
+// scoreboard is process-wide.
+TEST(FaultInjection, FaultsInjectedStayOnTheirSystem) {
+  core::SystemParams p = core::SystemParams::prototype();
+  p.rsbs[0].prr_width_clbs = 4;
+  core::VapresSystem other(std::move(p));
+  other.bring_up_all_sites();
+  test::FaultRig rig(0xB0B0u);
+  rig.injector().arm(FaultSite::kIcapBitstreamCorruption, /*nth=*/0);
+
+  rig.sys->reconfigure_now(0, 1, "gain_x2");
+  ASSERT_EQ(rig.injector().total_injected(), 1u);
+  EXPECT_EQ(core::collect_stats(*rig.sys).robustness.faults_injected, 1u);
+  EXPECT_EQ(core::collect_stats(other).robustness.faults_injected, 0u);
+}
+
 // ----------------------------------------------- deterministic replay
 
 // A cross-layer scenario: streaming system, probabilistic FIFO faults,

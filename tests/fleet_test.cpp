@@ -83,7 +83,7 @@ TEST(ProbeAdmit, FitWasteIsThePlansStrandedSlack) {
   const fleet::FabricAgent agent(0, fleet::FabricHost{"f", &sys, &sched}, db,
                                  counters);
   const fleet::FabricSnapshot snap =
-      agent.snapshot("t", request("p", {"gain_x2", "offset_100"}), 0);
+      agent.snapshot("t", request("p", {"gain_x2", "offset_100"}));
   ASSERT_TRUE(snap.probe.admissible);
   EXPECT_EQ(snap.probe.prrs, (std::vector<int>{2, 3}));
   EXPECT_DOUBLE_EQ(snap.probe.fit_waste, 0.453125);

@@ -31,7 +31,7 @@ struct Rig {
         "w", std::vector<comm::ConsumerInterface*>{&consumer},
         std::vector<comm::ProducerInterface*>{&producer}, &r, &t);
     tree = std::make_unique<fabric::PrrClockTree>(
-        fabric::Bufr("b", fabric::ClockRegionId{0, 0}),
+        fabric::Bufr(fabric::ClockRegionId{0, 0}),
         fabric::Bufgmux(100.0, 50.0), *prr_clk);
     socket = std::make_unique<PrSocket>(
         "sock", &box, std::vector<comm::ProducerInterface*>{&producer},

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scrubber.hpp"
 #include "core/stats.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
@@ -115,6 +116,48 @@ TEST(Snap, RejectsCorruptAndTruncatedBlobs) {
   std::string magic = blob;
   magic[0] ^= 0xFF;
   EXPECT_THROW(SnapshotReader{magic}, ModelError);
+
+  // A blob of the previous layout version is refused, not misread.
+  std::string v1 = blob;
+  v1.replace(4, 4, std::string("\x01\x00\x00\x00", 4));
+  try {
+    SnapshotReader{v1};
+    ADD_FAILURE() << "version-1 blob accepted";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The system's own recovery counts travel in the blob: a cold-restored
+// system reports the switch rollbacks, scrub repairs and frame repairs
+// (part of its faults_injected) it had, instead of restarting at 0.
+TEST(Snap, RecoveryCountsRoundTrip) {
+  core::VapresSystem sys(quad_params());
+  sys.bring_up_all_sites();
+  {
+    sim::ScopedFaultInjection faults(0x5EEDu);
+    faults->arm(sim::FaultSite::kConfigFrameUpset, /*nth=*/0, /*count=*/2);
+    core::ScrubberTask scrub(sys, /*period_cycles=*/500);
+    scrub.start();
+    sys.run_system_cycles(3000);
+    sys.mb().remove_task(&scrub);
+    ASSERT_EQ(scrub.frame_repairs(), 2u);
+  }
+  sys.note_recovery(sim::RecoveryEvent::kSwitchRollback);
+  quiesce(sys);
+  const core::SystemStats before = core::collect_stats(sys);
+  ASSERT_EQ(before.robustness.scrub_repairs, 2u);
+  ASSERT_EQ(before.robustness.switch_rollbacks, 1u);
+  ASSERT_EQ(before.robustness.faults_injected, 2u);
+
+  auto restored = SystemSnapshot::restore_system(
+      SystemSnapshot::save(sys, 1), quad_params());
+  const core::SystemStats after = core::collect_stats(*restored);
+  EXPECT_EQ(after.robustness.scrub_repairs, 2u);
+  EXPECT_EQ(after.robustness.switch_rollbacks, 1u);
+  EXPECT_EQ(after.robustness.faults_injected, 2u);
 }
 
 TEST(Snap, ColdRestoreVerifiesParams) {
@@ -710,7 +753,7 @@ TEST(SnapLayout, ColdBlobWithSchedulerIsPinned) {
   sys.run_system_cycles(2000);
   quiesce(sys);
   expect_pinned(SystemSnapshot::save(sys, 7, &sched),
-                {30453, 0xc71dc2df063c1ee6ULL});
+                {30502, 0xa3d3c05585a119d5ULL});
 }
 
 TEST(SnapLayout, WarmBlobWithSwitchIsPinned) {
@@ -724,7 +767,7 @@ TEST(SnapLayout, WarmBlobWithSwitchIsPinned) {
       SystemSnapshot::save(*rig.sys, 9, rig.sched.get(), &sw);
   rig.sys->mb().remove_task(&sw);
   ASSERT_TRUE(SystemSnapshot::has_switch(blob));
-  expect_pinned(blob, {3003786, 0x83638158c1ae7987ULL});
+  expect_pinned(blob, {3003835, 0x3d0b33c7e4694b25ULL});
 }
 
 TEST(SnapLayout, SoakResumeBlobIsPinned) {
@@ -738,7 +781,7 @@ TEST(SnapLayout, SoakResumeBlobIsPinned) {
   opt.stop_at_snapshot = true;
   load::run_soak(opt);
   ASSERT_FALSE(blob.empty());
-  expect_pinned(blob, {39079, 0xb42c34f3f5c23103ULL});
+  expect_pinned(blob, {39128, 0xfce0ddba31565df7ULL});
 }
 
 }  // namespace
