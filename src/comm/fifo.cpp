@@ -29,8 +29,10 @@ void Fifo::push(Word w) {
       ++fault_dropped_;
       return;
     }
-    if (faults.should_fire(sim::FaultSite::kFifoDuplicateWord) &&
-        size() + 1 < capacity_) {
+    // Only a push with room for the copy is a duplicate opportunity, so
+    // every duplicate the injector counts lands.
+    if (size() + 1 < capacity_ &&
+        faults.should_fire(sim::FaultSite::kFifoDuplicateWord)) {
       words_.push_back(w);
       ++pushed_;
       ++fault_duplicated_;

@@ -44,7 +44,8 @@ class Fifo {
   /// overflow here is a protocol bug we want loud. (The consumer-interface
   /// drop path of Section III.B is modelled in ConsumerInterface, which
   /// counts discards explicitly.) With fault injection enabled, a push is
-  /// an opportunity for the kFifoDropWord / kFifoDuplicateWord sites.
+  /// an opportunity for the kFifoDropWord site, and for the
+  /// kFifoDuplicateWord site when the FIFO has room for the copy.
   void push(Word w);
 
   /// Pops and returns the oldest word. Throws on underflow.

@@ -4,32 +4,11 @@
 #include <cstdio>
 
 #include "sim/check.hpp"
+#include "snap/format.hpp"
 
 namespace vapres::fleet {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold_bytes(std::uint64_t& h, const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-}
-
-void fold_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& h, const std::string& s) {
-  fold_u64(h, s.size());
-  fold_bytes(h, s.data(), s.size());
-}
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -163,7 +142,7 @@ sched::AppRequest parse_request(const std::string& blob) {
   return r;
 }
 
-StateDb::StateDb(int num_fabrics) : journal_digest_(kFnvOffset) {
+StateDb::StateDb(int num_fabrics) : journal_digest_(snap::kFnvOffset) {
   VAPRES_REQUIRE(num_fabrics > 0, "state table needs at least one fabric");
   view_.fabrics.resize(static_cast<std::size_t>(num_fabrics));
   view_.fabric_health.resize(static_cast<std::size_t>(num_fabrics));
@@ -181,7 +160,7 @@ const JournalEntry& StateDb::append(AgentId agent, Op op, std::int64_t key,
   e.args = args;
   e.note = std::move(note);
   const std::string bytes = e.to_bytes();
-  fold_bytes(journal_digest_, bytes.data(), bytes.size());
+  journal_digest_ = snap::fnv1a(bytes.data(), bytes.size(), journal_digest_);
   journal_.push_back(std::move(e));
   apply(view_, journal_.back());
   if (journal_.back().op == Op::kAgentRestart) {
@@ -410,70 +389,70 @@ std::string StateDb::serialize_journal() const {
 }
 
 std::uint64_t StateDb::digest_view(const View& v) {
-  std::uint64_t h = kFnvOffset;
-  fold_u64(h, static_cast<std::uint64_t>(v.next_fleet_id));
-  fold_u64(h, static_cast<std::uint64_t>(v.rr_cursor));
-  fold_u64(h, v.apps.size());
+  std::uint64_t h = snap::kFnvOffset;
+  snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.next_fleet_id));
+  snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.rr_cursor));
+  snap::fnv1a_u64(h, v.apps.size());
   for (const auto& [id, row] : v.apps) {
-    fold_u64(h, static_cast<std::uint64_t>(id));
-    fold_u64(h, static_cast<std::uint64_t>(row.fabric));
-    fold_u64(h, static_cast<std::uint64_t>(row.local));
-    fold_u64(h, static_cast<std::uint64_t>(row.tenant));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(id));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(row.fabric));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(row.local));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(row.tenant));
   }
-  fold_u64(h, v.tenants.size());
+  snap::fnv1a_u64(h, v.tenants.size());
   for (const TenantRow& t : v.tenants) {
-    fold_str(h, t.name);
-    fold_u64(h, static_cast<std::uint64_t>(t.budget));
-    fold_u64(h, static_cast<std::uint64_t>(t.usage));
-    fold_u64(h, static_cast<std::uint64_t>(t.pressure));
-    fold_u64(h, static_cast<std::uint64_t>(t.idle));
+    snap::fnv1a_str(h, t.name);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(t.budget));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(t.usage));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(t.pressure));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(t.idle));
   }
-  fold_u64(h, v.fabrics.size());
+  snap::fnv1a_u64(h, v.fabrics.size());
   for (const FabricRow& f : v.fabrics) {
-    fold_u64(h, static_cast<std::uint64_t>(f.free_prrs));
-    fold_u64(h, static_cast<std::uint64_t>(f.queued));
-    fold_u64(h, static_cast<std::uint64_t>(f.running));
-    fold_u64(h, static_cast<std::uint64_t>(f.util_permille));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(f.free_prrs));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(f.queued));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(f.running));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(f.util_permille));
   }
-  fold_u64(h, v.intent ? 1u : 0u);
+  snap::fnv1a_u64(h, v.intent ? 1u : 0u);
   if (v.intent) {
-    fold_u64(h, static_cast<std::uint64_t>(v.intent->seq));
-    fold_u64(h, static_cast<std::uint64_t>(v.intent->tenant));
-    fold_str(h, v.intent->request_blob);
-    fold_u64(h, static_cast<std::uint64_t>(v.intent->round));
-    fold_u64(h, v.intent->planned ? 1u : 0u);
-    fold_u64(h, static_cast<std::uint64_t>(v.intent->next_try));
-    fold_u64(h, static_cast<std::uint64_t>(v.intent->attempts));
-    fold_u64(h, v.intent->preempted_for ? 1u : 0u);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.intent->seq));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.intent->tenant));
+    snap::fnv1a_str(h, v.intent->request_blob);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.intent->round));
+    snap::fnv1a_u64(h, v.intent->planned ? 1u : 0u);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.intent->next_try));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.intent->attempts));
+    snap::fnv1a_u64(h, v.intent->preempted_for ? 1u : 0u);
   }
-  fold_u64(h, v.migration ? 1u : 0u);
+  snap::fnv1a_u64(h, v.migration ? 1u : 0u);
   if (v.migration) {
-    fold_u64(h, static_cast<std::uint64_t>(v.migration->fleet_id));
-    fold_u64(h, static_cast<std::uint64_t>(v.migration->step));
-    fold_u64(h, static_cast<std::uint64_t>(v.migration->src));
-    fold_u64(h, static_cast<std::uint64_t>(v.migration->dst));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.migration->fleet_id));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.migration->step));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.migration->src));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(v.migration->dst));
   }
-  fold_u64(h, v.health_tick_cycle);
-  fold_u64(h, v.health_tick_version);
-  fold_u64(h, v.health.size());
+  snap::fnv1a_u64(h, v.health_tick_cycle);
+  snap::fnv1a_u64(h, v.health_tick_version);
+  snap::fnv1a_u64(h, v.health.size());
   for (const HealthRuleRow& r : v.health) {
-    fold_str(h, r.name);
-    fold_u64(h, static_cast<std::uint64_t>(r.fabric));
-    fold_u64(h, static_cast<std::uint64_t>(r.bad_streak));
-    fold_u64(h, static_cast<std::uint64_t>(r.good_streak));
-    fold_u64(h, r.breached ? 1u : 0u);
-    fold_u64(h, r.primed ? 1u : 0u);
-    fold_u64(h, static_cast<std::uint64_t>(r.last_raw));
-    fold_u64(h, r.last_eval_version);
-    fold_u64(h, r.breaches);
+    snap::fnv1a_str(h, r.name);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(r.fabric));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(r.bad_streak));
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(r.good_streak));
+    snap::fnv1a_u64(h, r.breached ? 1u : 0u);
+    snap::fnv1a_u64(h, r.primed ? 1u : 0u);
+    snap::fnv1a_u64(h, static_cast<std::uint64_t>(r.last_raw));
+    snap::fnv1a_u64(h, r.last_eval_version);
+    snap::fnv1a_u64(h, r.breaches);
   }
-  fold_u64(h, v.fabric_health.size());
+  snap::fnv1a_u64(h, v.fabric_health.size());
   for (const FabricHealthRow& fh : v.fabric_health) {
-    fold_u64(h, fh.isolated ? 1u : 0u);
-    fold_u64(h, fh.isolations);
-    fold_u64(h, fh.last_breach_version);
-    fold_u64(h, fh.last_breach_cycle);
-    fold_u64(h, fh.last_drain_version);
+    snap::fnv1a_u64(h, fh.isolated ? 1u : 0u);
+    snap::fnv1a_u64(h, fh.isolations);
+    snap::fnv1a_u64(h, fh.last_breach_version);
+    snap::fnv1a_u64(h, fh.last_breach_cycle);
+    snap::fnv1a_u64(h, fh.last_drain_version);
   }
   return h;
 }

@@ -1,19 +1,14 @@
 // Sustained-load soak harness for the multi-fabric fleet.
 //
-// Mirrors load::run_soak, but drives a fleet::ControlPlane instead
-// of one scheduler: every workload event is routed by the fleet router
-// under a tenant name, migration-churn events move running apps across
-// fabrics mid-stream, and the soak invariants (resource-leak,
-// accounting, word-conservation, stream-gap, clock monotonicity) are
-// swept per fabric at every checkpoint. With crash churn enabled the
-// harness also kills and restarts a random control-plane agent at a
-// random journal version every N submissions, then proves the restarted
+// run_fleet_soak drives run_soak's event loop (load/soak.hpp) against a
+// fleet::ControlPlane: every workload event is routed under a tenant
+// name, migration-churn events move running apps across fabrics
+// mid-stream, and the soak invariants are swept per fabric. With crash
+// churn enabled it also kills and restarts a random control-plane agent
+// at a random journal version every N submissions, then proves the
 // plane reconverged: reconcile sweeps stay clean and replaying the
-// retained journal reproduces the live view digest. Deterministic per
-// seed: the digest folds the workload stream, every routing decision
-// (chosen fabric, verdict), every migration outcome, every kill draw,
-// and every terminal word count, so two runs with equal options produce
-// bit-identical digests.
+// retained journal reproduces the live view digest. The digest also
+// folds every routing decision, migration outcome and kill draw.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +17,8 @@
 #include <vector>
 
 #include "fleet/spec.hpp"
-#include "load/invariants.hpp"
 #include "load/scenario.hpp"
-#include "sim/time.hpp"
+#include "load/soak.hpp"
 
 namespace vapres::load {
 
@@ -40,10 +34,9 @@ struct FleetSoakOptions {
   /// enabling churn never perturbs the workload stream itself.
   std::uint64_t crash_churn_every = 0;
   /// Override the workload; default is ScenarioSpec::standard_fleet(
-  /// seed, lifetimes, num_tenants, num_fabrics). Phases with
-  /// icap_fault_probability > 0 arm the FaultInjector fleet-wide for
-  /// their duration (the bench_health fault-storm knob), exactly like
-  /// run_soak's storm phases.
+  /// seed, lifetimes, num_tenants, num_fabrics). Storm phases (the
+  /// bench_health fault-storm knob) arm the FaultInjector fleet-wide for
+  /// their duration, as in run_soak.
   std::optional<ScenarioSpec> scenario;
   /// Override the fleet (its `health` config turns the monitor on);
   /// default is FleetSpec::uniform(2).
@@ -71,15 +64,10 @@ struct RouteLatency {
   std::uint64_t fallback_p99 = 0;
 };
 
-struct FleetSoakResult {
-  InvariantReport invariants;
-
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;        ///< routed but every fabric refused
+/// `rejected` counts submissions routed but refused by every fabric;
+/// quota refusals count apart.
+struct FleetSoakResult : SoakTotals {
   std::uint64_t quota_rejected = 0;  ///< refused by the quota governor
-  std::uint64_t lifetimes_completed = 0;
-  std::uint64_t churn_stops = 0;
   std::uint64_t route_fallbacks = 0;
   std::uint64_t migrations_attempted = 0;
   std::uint64_t migrations_moved = 0;
@@ -104,12 +92,9 @@ struct FleetSoakResult {
   std::uint64_t isolations = 0;
   std::uint64_t unisolations = 0;
   std::uint64_t drains = 0;
-  std::uint64_t flight_bundles = 0;
   /// Host wall-clock spent inside health_tick() — the numerator of
   /// bench_health's <= 1% monitoring-overhead gate.
   double health_wall_seconds = 0.0;
-  /// ICAP faults injected by storm phases (0 without one).
-  std::uint64_t faults_injected = 0;
 
   /// Mean fabric utilization over checkpoints, one entry per fabric —
   /// the load-spread signal bench_fleet reports.
@@ -119,18 +104,6 @@ struct FleetSoakResult {
   /// entry per fabric.
   std::vector<RouteLatency> route_latency;
 
-  sim::Cycles final_cycle = 0;  ///< fleet time (max fabric clock)
-  double wall_seconds = 0.0;
-  double lifetimes_per_second = 0.0;
-
-  /// submit -> launch latency percentiles over admitted apps, fleet-wide
-  /// (all fabrics share the "sched.submit_to_launch.cycles" histogram).
-  std::uint64_t p50_submit_to_launch = 0;
-  std::uint64_t p99_submit_to_launch = 0;
-
-  std::uint64_t digest = 0;
-
-  bool ok() const { return invariants.ok(); }
   std::string summary() const;
 };
 

@@ -19,8 +19,8 @@
 
 namespace vapres::load {
 
-// Bounds and caps shared by the soak harnesses (load::run_soak,
-// load::run_fleet_soak).
+// Bounds and caps of the soak loop (load::run_soak and
+// load::run_fleet_soak, load/soak.cpp).
 
 /// Largest tolerated gap between consecutive sink words on a live
 /// channel, in system cycles (covers slow rate classes and hitless
@@ -165,19 +165,14 @@ class MonotoneClockCheck {
     seen_ = true;
   }
 
-  /// Raw observer state for checkpoint/restore (snap subsystem) — a
+  /// Observer state as one checkpoint field list (snap/format.hpp): a
   /// resumed soak keeps asserting monotonicity across the restore
   /// boundary instead of restarting the window at zero.
-  struct State {
-    sim::Picoseconds last_ps = 0;
-    sim::Cycles last_cycle = 0;
-    bool seen = false;
-  };
-  State state() const { return State{last_ps_, last_cycle_, seen_}; }
-  void set_state(const State& s) {
-    last_ps_ = s.last_ps;
-    last_cycle_ = s.last_cycle;
-    seen_ = s.seen;
+  template <class Archive>
+  void fields(Archive& ar) {
+    ar.u64(last_ps_);
+    ar.u64(last_cycle_);
+    ar.boolean(seen_);
   }
 
  private:

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/params.hpp"
@@ -149,34 +150,25 @@ class ScenarioGenerator {
   /// Phase the *next* event will come from; nullptr when exhausted.
   const Phase* current_phase() const;
 
-  /// Raw generator state for checkpoint/restore (snap subsystem):
-  /// the two RNG streams plus the phase/arrival cursors. Restoring it
-  /// into a generator built from the same spec resumes the event
-  /// stream exactly where the checkpointed run left it.
-  struct State {
-    std::uint64_t rng = 0;
-    std::uint64_t side_rng = 0;
-    std::uint64_t phase = 0;
-    std::uint64_t emitted_in_phase = 0;
-    std::uint64_t sequence = 0;
-    double clock = 0.0;
-    std::uint64_t burst_left = 0;
-    std::uint64_t quiet_left = 0;
-  };
-  State state() const {
-    return State{rng_.state(),          side_rng_.state(), phase_,
-                 emitted_in_phase_,     sequence_,         clock_,
-                 burst_left_,           quiet_left_};
-  }
-  void set_state(const State& s) {
-    rng_.set_state(s.rng);
-    side_rng_.set_state(s.side_rng);
-    phase_ = static_cast<std::size_t>(s.phase);
-    emitted_in_phase_ = s.emitted_in_phase;
-    sequence_ = s.sequence;
-    clock_ = s.clock;
-    burst_left_ = s.burst_left;
-    quiet_left_ = s.quiet_left;
+  /// The generator's cursors as one checkpoint field list
+  /// (snap/format.hpp): restoring them into a generator built from the
+  /// same spec resumes the event stream exactly where it left off.
+  template <class Archive>
+  void fields(Archive& ar) {
+    std::uint64_t rng = rng_.state();
+    std::uint64_t side_rng = side_rng_.state();
+    ar.u64(rng);
+    ar.u64(side_rng);
+    if constexpr (std::decay_t<Archive>::kLoading) {
+      rng_.set_state(rng);
+      side_rng_.set_state(side_rng);
+    }
+    ar.u64(phase_);
+    ar.u64(emitted_in_phase_);
+    ar.u64(sequence_);
+    ar.f64(clock_);
+    ar.u64(burst_left_);
+    ar.u64(quiet_left_);
   }
 
  private:

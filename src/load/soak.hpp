@@ -1,13 +1,14 @@
 // Sustained-load soak harness.
 //
-// Drives one scheduler + fabric through 10^4..10^6 complete application
-// lifetimes (submit -> admit/reject -> launch -> stream -> teardown)
-// from a seeded ScenarioGenerator, continuously checking the soak
-// invariants (resource-leak, accounting, word-conservation, stream-gap,
-// monotone kernel time) and sampling RSS so a run can assert memory
-// stability on top of correctness. Deterministic per seed: the run
-// digest folds every workload event and every terminal verdict, so two
-// runs with the same options must produce the same digest bit for bit.
+// Drives one scheduler + fabric (run_soak) or a fleet::ControlPlane
+// (run_fleet_soak, load/fleet_soak.hpp) through 10^4..10^6 complete
+// application lifetimes (submit -> admit/reject -> launch -> stream ->
+// teardown) from a seeded ScenarioGenerator, in one event loop that
+// continuously checks the soak invariants (resource-leak, accounting,
+// word-conservation, stream-gap, monotone kernel time); run_soak also
+// samples RSS to assert memory stability. Deterministic per seed: the
+// run digest folds every workload event and every terminal verdict, so
+// equal options produce equal digests bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@ struct SoakOptions {
   std::uint64_t seed = 1;
   /// Submissions between checkpoint sweeps (retire + invariants + RSS).
   std::uint64_t checkpoint_interval = 512;
-  /// Print per-phase transitions and periodic checkpoint lines.
+  /// Print per-phase transitions.
   bool verbose = false;
   /// Override the workload; default is ScenarioSpec::standard(seed,
   /// lifetimes).
@@ -55,7 +56,9 @@ struct SoakOptions {
   std::string flight_dir;
 };
 
-struct SoakResult {
+/// What both soak entry points report; SoakResult and FleetSoakResult
+/// add their target's own fields.
+struct SoakTotals {
   InvariantReport invariants;
 
   std::uint64_t submitted = 0;
@@ -65,20 +68,35 @@ struct SoakResult {
   /// rejected) — the completed-lifetime count the gates are phrased in.
   std::uint64_t lifetimes_completed = 0;
   std::uint64_t churn_stops = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t defrag_migrations = 0;
+  /// ICAP faults injected by storm phases (0 without one).
   std::uint64_t faults_injected = 0;
-  std::uint64_t fault_opportunities = 0;
+  /// Flight-recorder bundles written (0 without flight_dir / on a clean
+  /// run).
+  std::uint64_t flight_bundles = 0;
 
-  sim::Cycles final_cycle = 0;      ///< system-clock cycles simulated
-  double wall_seconds = 0.0;        ///< host wall-clock for the run
+  /// System-clock cycles simulated (a fleet's: its max fabric clock).
+  sim::Cycles final_cycle = 0;
+  double wall_seconds = 0.0;  ///< host wall-clock for the run
   double lifetimes_per_second = 0.0;
 
   /// submit -> launch latency percentiles over admitted apps, in
   /// MicroBlaze cycles (from the "sched.submit_to_launch.cycles"
-  /// histogram, reset at soak start).
+  /// histogram, reset at soak start; a fleet's fabrics share it).
   std::uint64_t p50_submit_to_launch = 0;
   std::uint64_t p99_submit_to_launch = 0;
+
+  /// FNV-1a fold of the workload stream and every terminal verdict and
+  /// word count: equal options => equal digest, byte for byte.
+  std::uint64_t digest = 0;
+
+  bool ok() const { return invariants.ok(); }
+};
+
+struct SoakResult : SoakTotals {
+  std::uint64_t preemptions = 0;
+  std::uint64_t defrag_migrations = 0;
+  /// ICAP corruption opportunities (faults_injected's denominator).
+  std::uint64_t fault_opportunities = 0;
 
   /// RSS samples (kB) at the first, middle, and last checkpoint plus
   /// the running peak; 0 when /proc/self/statm is unavailable.
@@ -87,21 +105,12 @@ struct SoakResult {
   std::uint64_t rss_kb_end = 0;
   std::uint64_t rss_kb_peak = 0;
 
-  /// FNV-1a fold of the workload stream and every terminal verdict and
-  /// word count: equal options => equal digest, byte for byte.
-  std::uint64_t digest = 0;
-
-  /// Flight-recorder bundles written (0 without flight_dir / on a clean
-  /// run).
-  std::uint64_t flight_bundles = 0;
-
   /// Checkpoints taken this run (snapshot_at + snapshot_every).
   std::uint64_t snapshots_taken = 0;
   /// Host wall-clock spent inside checkpointing (barrier + serialize) —
   /// the numerator of bench_soak's <= 5% overhead gate.
   double checkpoint_wall_seconds = 0.0;
 
-  bool ok() const { return invariants.ok(); }
   std::string summary() const;
 };
 

@@ -6,28 +6,6 @@
 
 namespace vapres::obs::health {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold_u64(std::uint64_t& d, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    d ^= (v >> (8 * i)) & 0xff;
-    d *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& d, const std::string& s) {
-  fold_u64(d, s.size());
-  for (const char c : s) {
-    d ^= static_cast<unsigned char>(c);
-    d *= kFnvPrime;
-  }
-}
-
-}  // namespace
-
 TimeSeries::TimeSeries(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
@@ -53,13 +31,13 @@ std::int64_t TimeSeries::last() const {
 }
 
 std::uint64_t TimeSeries::digest() const {
-  std::uint64_t d = kFnvOffset;
+  std::uint64_t d = snap::kFnvOffset;
   const std::size_t n = size();
-  fold_u64(d, n);
+  snap::fnv1a_u64(d, n);
   for (std::size_t i = 0; i < n; ++i) {
     const Sample s = at(i);
-    fold_u64(d, s.cycle);
-    fold_u64(d, static_cast<std::uint64_t>(s.value));
+    snap::fnv1a_u64(d, s.cycle);
+    snap::fnv1a_u64(d, static_cast<std::uint64_t>(s.value));
   }
   return d;
 }
@@ -108,11 +86,11 @@ std::vector<std::string> HealthSampler::keys() const {
 }
 
 std::uint64_t HealthSampler::digest() const {
-  std::uint64_t d = kFnvOffset;
-  fold_u64(d, samples_);
+  std::uint64_t d = snap::kFnvOffset;
+  snap::fnv1a_u64(d, samples_);
   for (const auto& [key, ts] : series_) {
-    fold_str(d, key);
-    fold_u64(d, ts.digest());
+    snap::fnv1a_str(d, key);
+    snap::fnv1a_u64(d, ts.digest());
   }
   return d;
 }

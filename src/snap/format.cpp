@@ -9,8 +9,6 @@ namespace vapres::snap {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 void append_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -39,15 +37,6 @@ std::uint64_t read_u64_at(const std::string& b, std::size_t at) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 SnapshotWriter::SnapshotWriter(std::uint64_t epoch) : epoch_(epoch) {
   append_u32(blob_, kMagic);

@@ -28,10 +28,36 @@
 
 namespace vapres::snap {
 
-/// FNV-1a over a byte range (the same digest the soak harness folds its
-/// run digest with; see load/soak.cpp).
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+// FNV-1a: the fold behind the section digests here, the soak run
+// digests (load/soak.cpp), the StateDb journal and view digests, and the
+// health sampler digest.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// Folds a byte range into `seed` (a running digest, or kFnvOffset).
+inline std::uint64_t fnv1a(const void* data, std::size_t size,
+                           std::uint64_t seed = kFnvOffset) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    seed ^= p[i];
+    seed *= kFnvPrime;
+  }
+  return seed;
+}
+
+/// Folds `v`'s 8 bytes, little-endian, into the running digest `h`.
+inline void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+}
+
+/// Folds a length-prefixed string into the running digest `h`.
+inline void fnv1a_str(std::uint64_t& h, const std::string& s) {
+  fnv1a_u64(h, s.size());
+  h = fnv1a(s.data(), s.size(), h);
+}
 
 class SnapshotWriter {
  public:

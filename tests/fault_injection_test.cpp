@@ -226,6 +226,10 @@ TEST(FaultInjection, FifoDuplicateRespectsCapacity) {
   fifo.push(8);  // duplicate armed, but no room for a second copy
   EXPECT_EQ(fifo.size(), 2);
   EXPECT_EQ(fifo.fault_duplicated(), 0u);
+  // A full push is no opportunity: the injector counts no duplicate
+  // that never landed.
+  EXPECT_EQ(faults->injected(FaultSite::kFifoDuplicateWord),
+            fifo.fault_duplicated());
 }
 
 // --------------------------------------- scrubber heals fabric faults

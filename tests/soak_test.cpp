@@ -1,9 +1,11 @@
 // Fast soak smoke: the sustained-load harness (src/load/soak.*) at
 // ~10^3 lifetimes — the tier-1 slice of what bench_soak runs at
-// 10^4..10^6 — plus the fleet soak (src/load/fleet_soak.*) over a
-// 2-fabric ControlPlane with migration-churn and agent-crash-churn
-// phases. ctest label: soak.
+// 10^4..10^6 — on one system and on a 2-fabric ControlPlane with
+// migration-churn and agent-crash-churn phases (load/fleet_soak.hpp),
+// plus checkpoint/resume and the replay-digest pins. ctest label: soak.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "load/fleet_soak.hpp"
 #include "load/soak.hpp"
@@ -59,6 +61,8 @@ TEST(Soak, DigestIsDeterministicPerSeed) {
   const load::SoakResult b = load::run_soak(opt);
   EXPECT_TRUE(a.invariants.ok()) << a.invariants.to_string();
   EXPECT_EQ(a.digest, b.digest);
+  // Pinned: the storm phase is on (one storm submission).
+  EXPECT_EQ(a.digest, 0x4afc340327343481ULL);
   EXPECT_EQ(a.final_cycle, b.final_cycle);
   EXPECT_EQ(a.admitted, b.admitted);
 
@@ -109,6 +113,78 @@ TEST(SoakDigest, FleetWorkloadIsPinned) {
   EXPECT_EQ(res.digest, 0x96153c03fc3a7499ULL);
 }
 
+// bench_health's storm shape, scaled down: a dense ICAP storm carved
+// out of standard_fleet's steady phase (4 submissions at 10x the arrival
+// rate, p = 0.25, so it injects within seconds) on 2 fabrics with health
+// ticks and remediation on. The single-fabric storm toggle and fleet
+// migration churn are pinned by the DigestIsDeterministicPerSeed tests.
+TEST(SoakDigest, FleetHealthStormIsPinned) {
+  const std::uint64_t seed = 5;
+  load::ScenarioSpec spec =
+      load::ScenarioSpec::standard_fleet(seed, 120, 3, 2);
+  const auto steady =
+      std::find_if(spec.phases.begin(), spec.phases.end(),
+                   [](const load::Phase& p) { return p.name == "steady"; });
+  ASSERT_NE(steady, spec.phases.end());
+  load::Phase storm = *steady;
+  storm.name = "fault-storm";
+  storm.submissions = 4;
+  storm.mean_interarrival_cycles /= 10.0;
+  storm.icap_fault_probability = 0.25;
+  storm.class_weights = {2.0, 2.0, 2.0, 1.5, 0.0, 0.0, 0.0};
+  steady->submissions -= storm.submissions;
+  spec.phases.insert(steady + 1, storm);
+  load::FleetSoakOptions opt;
+  opt.seed = seed;
+  opt.lifetimes = spec.total_submissions();
+  opt.scenario = spec;
+  opt.fleet = fleet::FleetSpec::uniform(2);
+  opt.fleet->health.enabled = true;
+  opt.fleet->health.remediate = true;
+  opt.fleet->health.rules = fleet::standard_health_rules(*opt.fleet);
+  const load::FleetSoakResult res = load::run_fleet_soak(opt);
+  EXPECT_TRUE(res.ok()) << res.invariants.to_string();
+  EXPECT_GT(res.faults_injected, 0u);
+  EXPECT_GT(res.health_ticks, 0u);
+  EXPECT_EQ(res.digest, 0xd707d29011876d48ULL);
+}
+
+// Checkpoint/resume: a run killed right after its checkpoint at
+// submission N and resumed from the blob ends on the uninterrupted
+// run's digest, and so does a run that checkpoints every 64
+// submissions along the way.
+TEST(Soak, ResumeMidRunMatchesUninterrupted) {
+  load::SoakOptions base;
+  base.seed = 5;
+  base.lifetimes = 240;
+  base.scenario = trimmed(base.seed, base.lifetimes, 1);
+  const load::SoakResult plain = load::run_soak(base);
+  ASSERT_TRUE(plain.ok()) << plain.invariants.to_string();
+
+  load::SoakOptions crash = base;
+  std::string blob;
+  crash.snapshot_at = 120;
+  crash.snapshot_out = &blob;
+  crash.stop_at_snapshot = true;
+  const load::SoakResult partial = load::run_soak(crash);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_EQ(partial.snapshots_taken, 1u);
+  EXPECT_LT(partial.lifetimes_completed, plain.lifetimes_completed);
+
+  load::SoakOptions resume = base;
+  resume.resume_from = blob;
+  const load::SoakResult resumed = load::run_soak(resume);
+  EXPECT_TRUE(resumed.ok()) << resumed.invariants.to_string();
+  EXPECT_EQ(resumed.digest, plain.digest);
+  EXPECT_EQ(resumed.final_cycle, plain.final_cycle);
+
+  load::SoakOptions every = base;
+  every.snapshot_every = 64;
+  const load::SoakResult checkpointed = load::run_soak(every);
+  EXPECT_EQ(checkpointed.snapshots_taken, 3u);
+  EXPECT_EQ(checkpointed.digest, plain.digest);
+}
+
 TEST(FleetSoak, ThousandLifetimesOnTwoFabricsHoldEveryInvariant) {
   load::FleetSoakOptions opt;
   opt.seed = 0xF1EE7;
@@ -147,6 +223,9 @@ TEST(FleetSoak, DigestIsDeterministicPerSeed) {
   const load::FleetSoakResult b = load::run_fleet_soak(opt);
   EXPECT_TRUE(a.invariants.ok()) << a.invariants.to_string();
   EXPECT_EQ(a.digest, b.digest);
+  // Pinned: migration churn on FleetSpec::uniform(2).
+  EXPECT_GT(a.migrations_attempted, 0u);
+  EXPECT_EQ(a.digest, 0x61a3c7eb3b3485c9ULL);
   EXPECT_EQ(a.final_cycle, b.final_cycle);
   EXPECT_EQ(a.admitted, b.admitted);
   EXPECT_EQ(a.migrations_moved, b.migrations_moved);
