@@ -86,15 +86,18 @@ cmake --build "$BUILD" -j --target bench_health
 (cd "$BUILD" && ./bench/bench_health --quick)
 
 echo
-echo "=== tier-1: benchmark driver smoke (perfbench soak + fleet) ==="
+echo "=== tier-1: benchmark driver smoke (perfbench soak + fleet + storm) ==="
 # Builds the benchmark driver against the current library and runs it
 # for about a second per workload. The driver's self-checks (invariant
 # sweeps, repeat determinism, parity with load::run_soak and
 # load::run_fleet_soak) run on every call, so a library change that
-# breaks the benchmark fails here (non-zero exit). The driver builds
-# under .bench_build/ (perfbench/run.py).
+# breaks the benchmark fails here (non-zero exit). Storm is the one
+# workload that runs the switch boxes' fault-injection path and checks
+# that a fault was injected. The driver builds under .bench_build/
+# (perfbench/run.py).
 python3 perfbench/run.py --workload soak --seed 1 --seconds 1 --trace 0
 python3 perfbench/run.py --workload fleet --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload storm --seed 2 --seconds 1 --trace 0
 
 echo
 echo "=== tier-1: Chrome trace export smoke (multi_app_server) ==="

@@ -66,6 +66,7 @@ int SwitchBox::output_consumer(int channel) const {
 void SwitchBox::connect_input(int port, const Flit* source) {
   check_input(port);
   sources_[static_cast<std::size_t>(port)] = source;
+  settled_ = false;
   wake();
 }
 
@@ -83,6 +84,7 @@ void SwitchBox::select(int output_port, int input_port) {
   check_output(output_port);
   if (input_port >= 0) check_input(input_port);
   selects_[static_cast<std::size_t>(output_port)] = input_port;
+  settled_ = false;
   wake();
 }
 
@@ -98,14 +100,12 @@ bool SwitchBox::output_stuck(int port) const {
 
 void SwitchBox::repair_output(int port) {
   check_output(port);
-  stuck_[static_cast<std::size_t>(port)] = false;
+  if (stuck_[static_cast<std::size_t>(port)]) {
+    stuck_[static_cast<std::size_t>(port)] = false;
+    --stuck_count_;
+  }
+  settled_ = false;
   wake();
-}
-
-int SwitchBox::stuck_output_count() const {
-  int n = 0;
-  for (bool s : stuck_) n += s ? 1 : 0;
-  return n;
 }
 
 bool SwitchBox::quiescent() const {
@@ -127,11 +127,11 @@ bool SwitchBox::quiescent() const {
 void SwitchBox::eval() {
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     regs_next_[i] = sources_[i] != nullptr ? *sources_[i] : kIdleFlit;
+    if (!(regs_next_[i] == regs_[i])) settled_ = false;
   }
 }
 
 void SwitchBox::commit() {
-  regs_ = regs_next_;
   constexpr auto kSite = sim::FaultSite::kSwitchBoxStuckPort;
   auto& faults = sim::FaultInjector::instance();
   bool draw = faults.enabled();
@@ -139,15 +139,20 @@ void SwitchBox::commit() {
     // No output can go stuck on this commit: count every non-stuck
     // output's opportunity at once instead of asking per port.
     faults.count_dead(kSite, static_cast<std::uint64_t>(
-                                 shape_.num_outputs() - stuck_output_count()));
+                                 shape_.num_outputs() - stuck_count_));
     draw = false;
   }
+  // Nothing latched changed and every output already shows its selection:
+  // the copy and the mux pass below would write what is already there.
+  if (settled_ && !draw) return;
+  regs_ = regs_next_;
   // Output muxes are combinational over the (just latched) input
   // registers; materialize them so downstream eval() reads this cycle's
   // values next cycle — one register of latency per box, as in the RTL.
   for (std::size_t p = 0; p < outputs_.size(); ++p) {
     if (draw && !stuck_[p] && faults.should_fire(kSite)) {
       stuck_[p] = true;
+      ++stuck_count_;
       ++stuck_events_;
     }
     if (stuck_[p]) continue;  // output holds its last flit until repaired
@@ -156,6 +161,7 @@ void SwitchBox::commit() {
                sel >= 0 ? regs_[static_cast<std::size_t>(sel)] : kIdleFlit,
                readers_[p]);
   }
+  settled_ = true;
 }
 
 }  // namespace vapres::comm

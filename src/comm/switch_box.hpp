@@ -87,11 +87,15 @@ class SwitchBox final : public sim::Clocked {
   // registered for its lifetime and never sleeps while injection is on.
   bool output_stuck(int port) const;
   void repair_output(int port);
-  int stuck_output_count() const;
+  int stuck_output_count() const { return stuck_count_; }
   /// Total stuck events injected over the box's lifetime.
   int stuck_events() const { return stuck_events_; }
 
   void eval() override;
+  /// A settled box whose eval() latched nothing new skips the register
+  /// copy and the mux pass: its outputs already equal their selections.
+  /// It still counts its stuck-port opportunities, and runs every port
+  /// while the site may fire.
   void commit() override;
   /// Input registers already equal their sources and every (non-stuck)
   /// output already equals its mux selection: further edges are no-ops
@@ -116,7 +120,14 @@ class SwitchBox final : public sim::Clocked {
   std::vector<Flit> outputs_;    ///< materialized output values
   std::vector<sim::Clocked*> readers_;  ///< per-output sampler to wake
   std::vector<bool> stuck_;      ///< per-output stuck-fault latch
+  int stuck_count_ = 0;          ///< outputs set in stuck_
   int stuck_events_ = 0;
+  /// regs_next_ equals regs_ and every non-stuck output equals its mux
+  /// selection, so a commit would change nothing. A full commit sets it;
+  /// eval() clears it when a register latches a new flit, and so does
+  /// every mutator outside commit (select, repair_output, connect_input)
+  /// and a snapshot restore.
+  bool settled_ = true;
 };
 
 }  // namespace vapres::comm

@@ -54,10 +54,13 @@ void Simulator::deliver_at(Picoseconds t) {
   // before this instant. Their edge exactly *at* this instant is decided
   // after the events below run — an event here may retune the domain
   // (cancelling the edge, as a re-anchor does for awake domains) or wake
-  // it (turning the edge into a real tick). The active_count_ guard keeps
-  // this a branch, not a call, on the hot all-awake path.
+  // it (turning the edge into a real tick). The guards keep this a branch,
+  // not a call, for an awake domain and for a sleeping one that owes no
+  // edge yet (fast_forward's own first-edge test, hoisted).
   for (const auto& d : domains_) {
-    if (d->active_count_ == 0) d->fast_forward(now_, /*inclusive=*/false);
+    if (d->active_count_ == 0 && d->anchor_ps_ + d->period_ps_ < now_) {
+      d->fast_forward(now_, /*inclusive=*/false);
+    }
   }
 
   // Control events first: a PRSocket write scheduled for this instant takes

@@ -1,5 +1,6 @@
 #include "snap/system_snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -344,6 +345,14 @@ struct SystemSnapshot::Fields {
         ar.boolean(box.stuck_[o]);
       }
       ar.i64(box.stuck_events_);
+      if constexpr (Ar::kLoading) {
+        // The overlay may pair outputs with registers they do not show
+        // (saved between a select and its commit): the next commit must
+        // run in full.
+        box.settled_ = false;
+        box.stuck_count_ = static_cast<int>(
+            std::count(box.stuck_.begin(), box.stuck_.end(), true));
+      }
     }
   }
 

@@ -1,6 +1,6 @@
 // Switch-box unit tests: port indexing, mux selects, one-register-per-box
-// pipeline latency, the stuck-port fault site, and module-interface
-// behaviour (Figure 2/3 details).
+// pipeline latency, settled boxes, the stuck-port fault site, and
+// module-interface behaviour (Figure 2/3 details).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,8 +9,10 @@
 
 #include "comm/module_interface.hpp"
 #include "comm/switch_box.hpp"
+#include "core/system.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
+#include "snap/system_snapshot.hpp"
 #include "test_util.hpp"
 
 namespace vapres::comm {
@@ -91,11 +93,6 @@ TEST(SwitchBox, RejectsBadSelect) {
   EXPECT_NO_THROW(box.select(0, -1));
 }
 
-// ------------------------------------------------ stuck-port fault site
-// A commit on which no output can go stuck counts its non-stuck outputs'
-// opportunities in one step; one on which some may go stuck asks the
-// injector per port. The two must leave identical counters.
-
 using sim::FaultSite;
 constexpr FaultSite kStuck = FaultSite::kSwitchBoxStuckPort;
 
@@ -103,6 +100,76 @@ void clock_box(SwitchBox& box) {
   box.eval();
   box.commit();
 }
+
+int count_stuck_ports(const SwitchBox& box) {
+  int n = 0;
+  for (int p = 0; p < box.shape().num_outputs(); ++p) {
+    n += box.output_stuck(p) ? 1 : 0;
+  }
+  return n;
+}
+
+// ------------------------------------------------------- settled boxes
+// A box whose registers latched nothing new, and whose outputs already
+// show their selections, skips its mux pass. The exhaustive kernel runs
+// the same box code, so lockstep tests cannot catch a missed reset: each
+// test below holds a box's inputs still until it settles, then changes
+// what the outputs should show without changing any input.
+// SwitchBox.SelectChangesRouteNextCycle does this for select().
+
+TEST(SwitchBoxSettled, RepairRestoresOutputNextCycle) {
+  sim::ScopedFaultInjection faults(5);
+  SwitchBox box("sw", SwitchBoxShape{1, 1, 1, 1});
+  const Flit lane{1, true};
+  box.connect_input(box.input_right_lane(0), &lane);
+  const int out = box.output_right_lane(0);  // port 0: the first draw
+  box.select(out, box.input_right_lane(0));
+  faults->arm(kStuck, 0);
+  clock_box(box);
+  ASSERT_TRUE(box.output_stuck(out));
+  ASSERT_EQ(*box.output_signal(out), kIdleFlit);  // stuck before it latched
+
+  // The site is dead from here on: the settled box counts opportunities
+  // without running its ports, and the stuck output holds idle.
+  for (int c = 0; c < 3; ++c) clock_box(box);
+  ASSERT_FALSE(faults->live(kStuck));
+  ASSERT_EQ(*box.output_signal(out), kIdleFlit);
+
+  box.repair_output(out);
+  clock_box(box);
+  EXPECT_EQ(*box.output_signal(out), lane);
+  // 3 outputs on the first commit, 2 on the next three, then 3.
+  EXPECT_EQ(faults->opportunities(kStuck), 3u + 3 * 2 + 3);
+}
+
+// A snapshot may be taken between a select and the commit that shows it.
+// The restored box must run that commit in full even though its inputs
+// match its registers.
+TEST(SwitchBoxSettled, RestoreRecomputesOutputs) {
+  const Flit word{42, true};
+  core::VapresSystem sys(core::SystemParams::prototype());
+  SwitchBox& b0 = sys.rsb(0).fabric().box(0);
+  SwitchBox& b1 = sys.rsb(0).fabric().box(1);
+  b0.connect_input(b0.input_producer(0), &word);
+  b0.select(b0.output_right_lane(0), b0.input_producer(0));
+  sys.run_system_cycles(4);  // b1's right lane 0 register latched the word
+  const int out = b1.output_consumer(0);
+  b1.select(out, b1.input_right_lane(0));
+  ASSERT_EQ(*b1.output_signal(out), kIdleFlit);  // not committed yet
+  const std::string blob = snap::SystemSnapshot::save(sys, 1);
+
+  auto restored = snap::SystemSnapshot::restore_system(
+      blob, core::SystemParams::prototype());
+  SwitchBox& r1 = restored->rsb(0).fabric().box(1);
+  ASSERT_EQ(*r1.output_signal(out), kIdleFlit);
+  restored->run_system_cycles(1);
+  EXPECT_EQ(*r1.output_signal(out), word);
+}
+
+// ------------------------------------------------ stuck-port fault site
+// A commit on which no output can go stuck counts its non-stuck outputs'
+// opportunities in one step; one on which some may go stuck asks the
+// injector per port. The two must leave identical counters.
 
 struct StuckTrace {
   std::vector<std::uint64_t> opportunities;  ///< after each commit
@@ -119,11 +186,13 @@ StuckTrace run_stuck_trace(bool per_port) {
   StuckTrace t;
   for (int c = 0; c < 8; ++c) {
     if (c == 1 && per_port) faults->arm(kStuck, 1'000'000);
-    if (c == 4) box.repair_output(0);
+    if (c == 4 || c == 6) box.repair_output(0);  // the second: not stuck
     EXPECT_EQ(faults->live(kStuck), c == 0 || per_port) << "commit " << c;
     clock_box(box);
     t.opportunities.push_back(faults->opportunities(kStuck));
     t.stuck.push_back(box.stuck_output_count());
+    EXPECT_EQ(box.stuck_output_count(), count_stuck_ports(box))
+        << "commit " << c;
   }
   EXPECT_EQ(faults->injected(kStuck), 2u);
   return t;
@@ -139,6 +208,33 @@ TEST(SwitchBoxStuckPort, DeadCountEqualsPerPortCount) {
   EXPECT_EQ(dead.opportunities,
             (std::vector<std::uint64_t>{5, 8, 11, 14, 18, 22, 26, 30}));
   EXPECT_EQ(dead.stuck, (std::vector<int>{2, 2, 2, 2, 1, 1, 1, 1}));
+}
+
+TEST(SwitchBoxStuckPort, RestoreRecountsStuckOutputs) {
+  core::VapresSystem sys(core::SystemParams::prototype());
+  {
+    sim::ScopedFaultInjection faults(9);
+    faults->arm(kStuck, 0, 2);  // the first box to commit: ports 0 and 1
+    sys.run_system_cycles(1);
+  }
+  const comm::SwitchFabric& fab = sys.rsb(0).fabric();
+  int stuck = 0;
+  for (int b = 0; b < fab.num_boxes(); ++b) {
+    stuck += count_stuck_ports(fab.box(b));
+  }
+  ASSERT_EQ(stuck, 2);
+
+  auto restored = snap::SystemSnapshot::restore_system(
+      snap::SystemSnapshot::save(sys, 1), core::SystemParams::prototype());
+  const comm::SwitchFabric& rfab = restored->rsb(0).fabric();
+  for (int b = 0; b < rfab.num_boxes(); ++b) {
+    EXPECT_EQ(rfab.box(b).stuck_output_count(),
+              count_stuck_ports(fab.box(b)))
+        << "box " << b;
+    EXPECT_EQ(rfab.box(b).stuck_output_count(),
+              count_stuck_ports(rfab.box(b)))
+        << "box " << b;
+  }
 }
 
 TEST(SwitchBoxStuckPort, UnboundedWindowKeepsFiring) {
