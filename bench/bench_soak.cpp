@@ -146,7 +146,6 @@ SnapOutcome run_snap_gates(std::uint64_t seed, std::uint64_t lifetimes,
     std::string blob;
     crash.snapshot_at = 300;
     crash.snapshot_out = &blob;
-    crash.stop_at_snapshot = true;
     load::run_soak(crash);
 
     load::SoakOptions resume = base;

@@ -141,13 +141,15 @@ echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/fault tests under addre
 # hold raw reader pointers into feedback pipelines that release()
 # destroys, and a reader left registered is a use-after-free only ASan
 # reports. The fault-label tests (fuzz, ICAP, injection, bitman,
-# switching faults) ride along for the same reason: the injector keeps
-# raw pointers to every live switch box (its per-commit sites), and a
-# box left registered past its destruction is one too.
+# switching faults, switch boxes) ride along for the same reason: the
+# injector keeps raw pointers to every live switch box (its per-commit
+# sites), and a box left registered past its destruction is one too;
+# switch_box_test registers boxes as those sites and cold-restores them.
 cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
   fleet_test statedb_test snap_test health_test simkernel_test fuzz_test \
-  icap_test fault_injection_test bitman_test switching_fault_test
+  icap_test fault_injection_test bitman_test switching_fault_test \
+  switch_box_test
 ctest --test-dir "$SAN_BUILD" \
   -L 'sched|soak|fleet|snap|health|simkernel|fault' --output-on-failure
 

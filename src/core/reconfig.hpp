@@ -135,7 +135,6 @@ class ReconfigManager {
   /// timed transfer; the bitstream's integrity tag is checked at apply
   /// time either way.
   void set_verify_after_write(bool verify) { verify_ = verify; }
-  bool verify_after_write() const { return verify_; }
 
  private:
   // Checkpoint/restore overlays the lifetime counters and last-breakdown

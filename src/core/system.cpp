@@ -59,8 +59,9 @@ VapresSystem::VapresSystem(SystemParams params,
 
 VapresSystem::~VapresSystem() {
   // The FaultInjector outlives this system; stop it from dereferencing
-  // our (about-to-die) simulation clock.
-  sim::FaultInjector::instance().set_time_source(nullptr);
+  // our (about-to-die) simulation clock, unless a newer system's clock
+  // has replaced it.
+  sim::FaultInjector::instance().release_time_source(sim_.now_ptr());
 }
 
 void VapresSystem::note_recovery(sim::RecoveryEvent event,

@@ -4,17 +4,9 @@
 #include <cmath>
 #include <set>
 
-#include "obs/bus.hpp"
-#include "obs/metrics.hpp"
 #include "sim/check.hpp"
 
 namespace vapres::fleet {
-
-namespace {
-
-obs::Counter& ctr(const char* name) {
-  return obs::Registry::instance().counter(name);
-}
 
 sim::Picoseconds fleet_now_ps(
     const std::vector<std::unique_ptr<FabricAgent>>& fabrics) {
@@ -23,13 +15,15 @@ sim::Picoseconds fleet_now_ps(
   return t;
 }
 
-}  // namespace
+obs::Counter& fleet_counter(const char* name) {
+  return obs::Registry::instance().counter(name);
+}
 
 void note_agent_restart(
     StateDb& db, AgentId a,
     const std::vector<std::unique_ptr<FabricAgent>>& fabrics) {
   db.append(a, Op::kAgentRestart, static_cast<std::int64_t>(a));
-  ctr("fleet.agent.restarts").add();
+  fleet_counter("fleet.agent.restarts").add();
   obs::EventBus& bus = obs::EventBus::instance();
   bus.instant(obs::Subsystem::kFleet, obs::ev::kAgentRestart,
               bus.track("fleet"), fleet_now_ps(fabrics),
@@ -114,7 +108,7 @@ void FabricAgent::restart() {
   // to rebuild. The marker feeds the restart ledger and the churn gate.
   db_.append(fabric_agent_id(index_), Op::kAgentRestart,
              static_cast<std::int64_t>(fabric_agent_id(index_)));
-  ctr("fleet.agent.restarts").add();
+  fleet_counter("fleet.agent.restarts").add();
   obs::EventBus& bus = obs::EventBus::instance();
   bus.instant(obs::Subsystem::kFleet, obs::ev::kAgentRestart,
               bus.track("fleet"), host_.sys->sim().now(),
@@ -175,9 +169,10 @@ std::vector<std::string> FabricAgent::reconcile() const {
         std::to_string(running) + " running apps");
   }
 
-  ctr("fleet.reconcile.checks").add(static_cast<std::uint64_t>(checks));
+  fleet_counter("fleet.reconcile.checks")
+      .add(static_cast<std::uint64_t>(checks));
   if (!violations.empty()) {
-    ctr("fleet.reconcile.violations")
+    fleet_counter("fleet.reconcile.violations")
         .add(static_cast<std::uint64_t>(violations.size()));
   }
   obs::EventBus& bus = obs::EventBus::instance();
@@ -265,7 +260,7 @@ bool QuotaAgent::poll() {
     const bool allowed = governor_->admit(name, want, free_prrs());
     if (!allowed) {
       ++counters_.quota_rejected;
-      ctr("fleet.route.quota_rejected").add();
+      fleet_counter("fleet.route.quota_rejected").add();
       obs::EventBus& bus = obs::EventBus::instance();
       bus.instant(obs::Subsystem::kFleet, obs::ev::kQuotaReject,
                   bus.track("fleet"), fleet_now_ps(fabrics_),
@@ -314,10 +309,6 @@ RouterAgent::RouterAgent(StateDb& db, const FleetSpec& spec,
                          std::vector<std::unique_ptr<FabricAgent>>& fabrics,
                          FleetCounters& counters)
     : db_(db), spec_(spec), fabrics_(fabrics), counters_(counters) {}
-
-sim::Picoseconds RouterAgent::now_ps() const {
-  return fleet_now_ps(fabrics_);
-}
 
 std::vector<int> RouterAgent::plan_order(const std::string& tenant,
                                          const sched::AppRequest& request) {
@@ -427,14 +418,14 @@ bool RouterAgent::poll() {
       db_.append(AgentId::kRouter, Op::kAppLocation, fleet_id,
                  {fi, out.local, row.tenant, 0});
       ++counters_.admitted;
-      ctr("fleet.route.admitted").add();
+      fleet_counter("fleet.route.admitted").add();
       close_intent(row, true, fi, out.verdict);
     } else if (row.next_try + 1 < static_cast<int>(row.order.size())) {
       ++counters_.fallbacks;
-      ctr("fleet.route.fallbacks").add();
+      fleet_counter("fleet.route.fallbacks").add();
       obs::EventBus& bus = obs::EventBus::instance();
       bus.instant(obs::Subsystem::kFleet, obs::ev::kFallback,
-                  bus.track("fleet"), now_ps(),
+                  bus.track("fleet"), fleet_now_ps(fabrics_),
                   static_cast<std::uint64_t>(fi),
                   static_cast<std::uint64_t>(out.verdict));
     }
@@ -465,10 +456,10 @@ bool RouterAgent::poll() {
       const AppRow* loc = db_.app(victim);
       fabrics_[static_cast<std::size_t>(loc->fabric)]->stop_local(loc->local);
       ++counters_.quota_preemptions;
-      ctr("fleet.quota.preemptions").add();
+      fleet_counter("fleet.quota.preemptions").add();
       obs::EventBus& bus = obs::EventBus::instance();
       bus.instant(obs::Subsystem::kFleet, obs::ev::kQuotaPreempt,
-                  bus.track("fleet"), now_ps(),
+                  bus.track("fleet"), fleet_now_ps(fabrics_),
                   static_cast<std::uint64_t>(victim));
       db_.append(AgentId::kRouter, Op::kPreemption, victim, {}, tenant);
       return true;
@@ -476,7 +467,7 @@ bool RouterAgent::poll() {
   }
 
   ++counters_.rejected;
-  ctr("fleet.route.rejected").add();
+  fleet_counter("fleet.route.rejected").add();
   close_intent(row, false, -1, verdict);
   return true;
 }
@@ -524,7 +515,7 @@ bool MigrationAgent::poll() {
   auto skip = [&](const std::string& why) {
     reason_ = why;
     ++counters_.migrations_skipped;
-    ctr("fleet.migrate.skipped").add();
+    fleet_counter("fleet.migrate.skipped").add();
     step(MigStep::kSkipped);
     request_.reset();
     return true;
@@ -581,7 +572,7 @@ bool MigrationAgent::poll() {
       db_.append(AgentId::kMigration, Op::kAppLocation, row.fleet_id,
                  {row.dst, row.dst_local, app->tenant, 0});
       ++counters_.migrations_moved;
-      ctr("fleet.migrate.moved").add();
+      fleet_counter("fleet.migrate.moved").add();
       step(MigStep::kMoved);
       if (span_) span_->end(fleet_now_ps(fabrics_));
       span_.reset();
@@ -598,7 +589,7 @@ bool MigrationAgent::poll() {
         db_.append(AgentId::kMigration, Op::kAppLocation, row.fleet_id,
                    {row.src, out.local, app->tenant, 0});
         ++counters_.migrations_rolled_back;
-        ctr("fleet.migrate.rolled_back").add();
+        fleet_counter("fleet.migrate.rolled_back").add();
         step(MigStep::kRolledBack, out.local);
       } else {
         // Source re-admission lost a race with nothing — it should be
@@ -607,7 +598,7 @@ bool MigrationAgent::poll() {
         db_.append(AgentId::kMigration, Op::kAppRemoved, row.fleet_id,
                    {static_cast<std::int64_t>(RemoveCause::kLost)});
         ++counters_.migrations_lost;
-        ctr("fleet.migrate.lost").add();
+        fleet_counter("fleet.migrate.lost").add();
         step(MigStep::kLost);
       }
       if (span_) span_->end(fleet_now_ps(fabrics_));

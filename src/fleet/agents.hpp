@@ -43,10 +43,11 @@
 
 #include "core/system.hpp"
 #include "fleet/cost.hpp"
-#include "obs/bus.hpp"
 #include "fleet/quota.hpp"
 #include "fleet/spec.hpp"
 #include "fleet/statedb.hpp"
+#include "obs/bus.hpp"
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 
 namespace vapres::fleet {
@@ -81,6 +82,13 @@ class FabricAgent;
 void note_agent_restart(
     StateDb& db, AgentId a,
     const std::vector<std::unique_ptr<FabricAgent>>& fabrics);
+
+/// Fleet time for trace stamps: the furthest fabric's simulation time.
+sim::Picoseconds fleet_now_ps(
+    const std::vector<std::unique_ptr<FabricAgent>>& fabrics);
+
+/// The process-wide registry counter `name` (the fleet.* counters).
+obs::Counter& fleet_counter(const char* name);
 
 /// One fabric as the agents see it (owned by the ControlPlane).
 struct FabricHost {
@@ -218,7 +226,6 @@ class RouterAgent {
   void restart();
 
  private:
-  sim::Picoseconds now_ps() const;
   std::vector<int> plan_order(const std::string& tenant,
                               const sched::AppRequest& request);
   /// Worst-overshoot over-quota tenant's youngest running app, computed

@@ -11,14 +11,6 @@
 
 namespace vapres::fleet {
 
-namespace {
-
-obs::Counter& ctr(const char* name) {
-  return obs::Registry::instance().counter(name);
-}
-
-}  // namespace
-
 const char* migrate_outcome_name(MigrateOutcome o) {
   switch (o) {
     case MigrateOutcome::kMoved: return "moved";
@@ -33,20 +25,12 @@ ControlPlane::ControlPlane(const FleetSpec& spec)
     : spec_(spec),
       db_(static_cast<int>(spec.fabrics.size())) {
   VAPRES_REQUIRE(!spec_.fabrics.empty(), "fleet needs at least one fabric");
-  for (const FabricSpec& fs : spec_.fabrics) {
-    auto f = std::make_unique<Fabric>();
-    f->name = fs.name;
-    f->sys = std::make_unique<core::VapresSystem>(fs.params);
-    f->sys->bring_up_all_sites();
-    f->sched = std::make_unique<sched::ApplicationScheduler>(*f->sys,
-                                                             spec_.scheduler);
-    fabrics_.push_back(std::move(f));
-  }
-  checkpoints_.resize(fabrics_.size());
+  fabrics_.resize(spec_.fabrics.size());
+  fabric_agents_.resize(spec_.fabrics.size());
+  checkpoints_.resize(spec_.fabrics.size());
   for (int i = 0; i < num_fabrics(); ++i) {
-    Fabric& f = *fabrics_[static_cast<std::size_t>(i)];
-    fabric_agents_.push_back(std::make_unique<FabricAgent>(
-        i, FabricHost{f.name, f.sys.get(), f.sched.get()}, db_, counters_));
+    fabrics_[static_cast<std::size_t>(i)] = std::make_unique<Fabric>();
+    build_fabric(i);
   }
   quota_ = std::make_unique<QuotaAgent>(db_, spec_, fabric_agents_,
                                         counters_);
@@ -58,6 +42,24 @@ ControlPlane::ControlPlane(const FleetSpec& spec)
     health_ = std::make_unique<HealthAgent>(db_, spec_, fabric_agents_,
                                             counters_);
   }
+}
+
+void ControlPlane::build_fabric(int index) {
+  Fabric& f = fabric(index);
+  const FabricSpec& fs = spec_.fabrics[static_cast<std::size_t>(index)];
+  f.name = fs.name;
+  f.sched.reset();  // it refers to the system being replaced
+  f.sys = std::make_unique<core::VapresSystem>(fs.params);
+  f.sys->bring_up_all_sites();
+  f.sched = std::make_unique<sched::ApplicationScheduler>(*f.sys,
+                                                          spec_.scheduler);
+  fabric_agents_[static_cast<std::size_t>(index)] = new_fabric_agent(index);
+}
+
+std::unique_ptr<FabricAgent> ControlPlane::new_fabric_agent(int index) {
+  Fabric& f = fabric(index);
+  return std::make_unique<FabricAgent>(
+      index, FabricHost{f.name, f.sys.get(), f.sched.get()}, db_, counters_);
 }
 
 ControlPlane::Fabric& ControlPlane::fabric(int index) {
@@ -84,12 +86,6 @@ sched::ApplicationScheduler& ControlPlane::scheduler(int index) {
 
 const sched::ApplicationScheduler& ControlPlane::scheduler(int index) const {
   return *fabric(index).sched;
-}
-
-sim::Picoseconds ControlPlane::now_ps() const {
-  sim::Picoseconds t = 0;
-  for (const auto& f : fabrics_) t = std::max(t, f->sys->sim().now());
-  return t;
 }
 
 sim::Cycles ControlPlane::now() const {
@@ -193,12 +189,13 @@ RouteDecision ControlPlane::assemble_decision(
 RouteDecision ControlPlane::submit(const std::string& tenant,
                                    const sched::AppRequest& request) {
   ++counters_.submissions;
-  ctr("fleet.route.submissions").add();
+  fleet_counter("fleet.route.submissions").add();
 
   obs::EventBus& bus = obs::EventBus::instance();
   const std::uint32_t track = bus.track("fleet");
   obs::Span span = obs::Span::begin(
-      obs::Subsystem::kFleet, obs::ev::kRoute, track, now_ps(),
+      obs::Subsystem::kFleet, obs::ev::kRoute, track,
+      fleet_now_ps(fabric_agents_),
       static_cast<std::uint64_t>(db_.next_fleet_id()));
 
   const std::uint64_t mark = db_.version();
@@ -209,7 +206,7 @@ RouteDecision ControlPlane::submit(const std::string& tenant,
 
   RouteDecision d = assemble_decision(mark);
   refresh_gauges();
-  span.end(now_ps());
+  span.end(fleet_now_ps(fabric_agents_));
   return d;
 }
 
@@ -352,11 +349,7 @@ std::vector<std::string> ControlPlane::restart_agent(AgentId agent) {
                     static_cast<int>(AgentId::kFabric0);
       VAPRES_REQUIRE(i >= 0 && i < num_fabrics(),
                      "restart: unknown fabric agent");
-      Fabric& f = *fabrics_[static_cast<std::size_t>(i)];
-      fabric_agents_[static_cast<std::size_t>(i)] =
-          std::make_unique<FabricAgent>(
-              i, FabricHost{f.name, f.sys.get(), f.sched.get()}, db_,
-              counters_);
+      fabric_agents_[static_cast<std::size_t>(i)] = new_fabric_agent(i);
       FabricAgent& fa = *fabric_agents_[static_cast<std::size_t>(i)];
       fa.restart();
       return fa.reconcile();
@@ -395,7 +388,7 @@ std::uint64_t ControlPlane::checkpoint_fabric(int index) {
   const std::uint64_t epoch = cp.epoch;
   checkpoints_[static_cast<std::size_t>(index)] = std::move(cp);
   ++checkpoints_taken_;
-  ctr("fleet.checkpoint.taken").add();
+  fleet_counter("fleet.checkpoint.taken").add();
   return epoch;
 }
 
@@ -411,17 +404,7 @@ const FabricCheckpoint* ControlPlane::last_checkpoint(int index) const {
 }
 
 void ControlPlane::kill_fabric(int index) {
-  Fabric& f = fabric(index);
-  f.sched.reset();
-  f.sys = std::make_unique<core::VapresSystem>(
-      spec_.fabrics[static_cast<std::size_t>(index)].params);
-  f.sys->bring_up_all_sites();
-  f.sched = std::make_unique<sched::ApplicationScheduler>(*f.sys,
-                                                          spec_.scheduler);
-  fabric_agents_[static_cast<std::size_t>(index)] =
-      std::make_unique<FabricAgent>(
-          index, FabricHost{f.name, f.sys.get(), f.sched.get()}, db_,
-          counters_);
+  build_fabric(index);
   fabric_agents_[static_cast<std::size_t>(index)]->restart();
 }
 
@@ -443,15 +426,10 @@ FailoverResult ControlPlane::failover(int crashed, int spare) {
              {spare, static_cast<std::int64_t>(cp->epoch)},
              fabric(crashed).name + "->" + fabric(spare).name);
 
-  // Reconstruct the crashed fabric's checkpointed state off to the side
-  // — the blob is the only surviving truth — then seed the spare with
-  // the relocation masters the moved apps will need.
-  auto ghost_sys =
-      snap::SystemSnapshot::restore_system(
-          cp->blob, spec_.fabrics[static_cast<std::size_t>(crashed)].params);
-  auto ghost_sched = snap::SystemSnapshot::restore_scheduler(cp->blob,
-                                                             *ghost_sys);
-  fabric(spare).sched->adopt_masters(ghost_sched->store());
+  // The blob is the only surviving truth of which apps ran and with
+  // what request; read its app records without restoring anything.
+  const std::vector<sched::AppRecord> records =
+      snap::SystemSnapshot::app_records(cp->blob);
 
   // Copy the rows first: the per-app journal appends mutate the view.
   std::vector<std::pair<int, AppRow>> rows;
@@ -459,7 +437,13 @@ FailoverResult ControlPlane::failover(int crashed, int spare) {
     if (row.fabric == crashed) rows.emplace_back(id, row);
   }
   for (const auto& [id, row] : rows) {
-    const sched::AppRecord& rec = ghost_sched->app(row.local);
+    const auto found = std::find_if(
+        records.begin(), records.end(),
+        [&row](const sched::AppRecord& rec) { return rec.id == row.local; });
+    VAPRES_REQUIRE(found != records.end(),
+                   "failover: fleet id " + std::to_string(id) +
+                       " has no record in the checkpoint");
+    const sched::AppRecord& rec = *found;
     if (!rec.running()) {
       db_.append(AgentId::kOrchestrator, Op::kAppRemoved, id,
                  {static_cast<std::int64_t>(RemoveCause::kRetired)});
@@ -474,19 +458,19 @@ FailoverResult ControlPlane::failover(int crashed, int spare) {
                  {spare, out.local, row.tenant});
       ++r.apps_restored;
       r.restored_ids.push_back(id);
-      ctr("fleet.failover.apps_restored").add();
+      fleet_counter("fleet.failover.apps_restored").add();
     } else {
       db_.append(AgentId::kOrchestrator, Op::kAppRemoved, id,
                  {static_cast<std::int64_t>(RemoveCause::kLost)});
       ++r.apps_lost;
-      ctr("fleet.failover.apps_lost").add();
+      fleet_counter("fleet.failover.apps_lost").add();
     }
   }
 
   ++failovers_;
   failover_apps_restored_ += static_cast<std::uint64_t>(r.apps_restored);
   failover_apps_lost_ += static_cast<std::uint64_t>(r.apps_lost);
-  ctr("fleet.failover.performed").add();
+  fleet_counter("fleet.failover.performed").add();
   quota_->sync_usage();
   refresh_gauges();
   return r;
@@ -578,10 +562,11 @@ std::string ControlPlane::record_flight(const std::string& reason) {
       health_ ? &health_->sampler() : nullptr,
       health_ ? health_->rules_to_string() : std::string{});
   if (!path.empty()) {
-    ctr("fleet.flight.bundles").add();
+    fleet_counter("fleet.flight.bundles").add();
     obs::EventBus& bus = obs::EventBus::instance();
     bus.instant(obs::Subsystem::kFleet, obs::ev::kFlightRecord,
-                bus.track("fleet"), now_ps(), flight_->bundles_written());
+                bus.track("fleet"), fleet_now_ps(fabric_agents_),
+                flight_->bundles_written());
   }
   return path;
 }

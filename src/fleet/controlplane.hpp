@@ -197,16 +197,15 @@ class ControlPlane {
   /// failover() next; resolving those fleet ids in between is invalid.
   void kill_fabric(int fabric);
 
-  /// Restores the crashed fabric's checkpointed apps onto `spare`:
-  /// reconstructs the last checkpoint off to the side, adopts its
-  /// relocation masters, replay-admits every running app on the spare
-  /// under its original fleet id, and journals every move
+  /// Restores the crashed fabric's checkpointed apps onto `spare`: reads
+  /// the last checkpoint's journaled app records (restoring no system
+  /// and adopting no masters), replay-admits every app running in it on
+  /// the spare under its original fleet id, and journals every move
   /// (kFailover + per-app kAppLocation/kAppRemoved rows).
   FailoverResult failover(int crashed, int spare);
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t reconciles_run() const { return reconciles_run_; }
 
   // ---- health monitor / flight recorder (docs/HEALTH.md) ---------------
 
@@ -251,7 +250,11 @@ class ControlPlane {
 
   Fabric& fabric(int index);
   const Fabric& fabric(int index) const;
-  sim::Picoseconds now_ps() const;
+  /// (Re)builds fabric `index` from its spec — system with every site
+  /// brought up, scheduler, and a fresh agent over them. The
+  /// constructor's bring-up and kill_fabric()'s blank replacement.
+  void build_fabric(int index);
+  std::unique_ptr<FabricAgent> new_fabric_agent(int index);
 
   /// Polls the agents round-robin until none makes progress, executing
   /// any scheduled kill between polls.

@@ -11,10 +11,6 @@ namespace vapres::fleet {
 
 namespace {
 
-obs::Counter& ctr(const char* name) {
-  return obs::Registry::instance().counter(name);
-}
-
 /// args[0] layout of a kHealthRuleState entry (statedb.hpp).
 std::int64_t pack_rule_state(const obs::health::RuleOutcome& out,
                              int fabric) {
@@ -46,12 +42,6 @@ HealthAgent::HealthAgent(StateDb& db, const FleetSpec& spec,
                    "health rule indicts an unknown fabric");
     VAPRES_REQUIRE(!r.name.empty(), "health rules must be named");
   }
-}
-
-sim::Picoseconds HealthAgent::now_ps() const {
-  sim::Picoseconds t = 0;
-  for (const auto& f : fabrics_) t = std::max(t, f->sys().sim().now());
-  return t;
 }
 
 int HealthAgent::pending_rule() const {
@@ -100,17 +90,17 @@ bool HealthAgent::evaluate_pending(int rule_id) {
   obs::EventBus& bus = obs::EventBus::instance();
   if (out.tripped) {
     ++counters_.breaches_tripped;
-    ctr("fleet.health.breaches").add();
+    fleet_counter("fleet.health.breaches").add();
     bus.instant(obs::Subsystem::kFleet, obs::ev::kHealthBreach,
-                bus.track("fleet"), now_ps(),
+                bus.track("fleet"), fleet_now_ps(fabrics_),
                 static_cast<std::uint64_t>(rule_id),
                 static_cast<std::uint64_t>(out.value));
   }
   if (out.cleared) {
     ++counters_.breaches_cleared;
-    ctr("fleet.health.clears").add();
+    fleet_counter("fleet.health.clears").add();
     bus.instant(obs::Subsystem::kFleet, obs::ev::kHealthClear,
-                bus.track("fleet"), now_ps(),
+                bus.track("fleet"), fleet_now_ps(fabrics_),
                 static_cast<std::uint64_t>(rule_id));
   }
   return true;
@@ -126,9 +116,9 @@ bool HealthAgent::step_isolation() {
       // rejects everything, which is worse than any degradation.
       db_.append(AgentId::kHealth, Op::kIsolateFabric, f, {1, breaches});
       ++counters_.isolations;
-      ctr("fleet.health.isolations").add();
+      fleet_counter("fleet.health.isolations").add();
       bus.instant(obs::Subsystem::kFleet, obs::ev::kHealthIsolate,
-                  bus.track("fleet"), now_ps(),
+                  bus.track("fleet"), fleet_now_ps(fabrics_),
                   static_cast<std::uint64_t>(f), 1);
       return true;
     }
@@ -137,9 +127,9 @@ bool HealthAgent::step_isolation() {
       // clear_observations streaks are the healthy-streak hysteresis).
       db_.append(AgentId::kHealth, Op::kIsolateFabric, f, {0, 0});
       ++counters_.unisolations;
-      ctr("fleet.health.unisolations").add();
+      fleet_counter("fleet.health.unisolations").add();
       bus.instant(obs::Subsystem::kFleet, obs::ev::kHealthIsolate,
-                  bus.track("fleet"), now_ps(),
+                  bus.track("fleet"), fleet_now_ps(fabrics_),
                   static_cast<std::uint64_t>(f), 0);
       return true;
     }
@@ -189,7 +179,7 @@ bool HealthAgent::step_drain() {
     db_.append(AgentId::kHealth, Op::kMigrateIntent, app_id,
                {dst, 1 /* probe_first: never lose the app */});
     ++counters_.drains_started;
-    ctr("fleet.health.drains").add();
+    fleet_counter("fleet.health.drains").add();
     return true;
   }
   return false;

@@ -66,7 +66,6 @@ class HealthAgent {
   bool evaluate_pending(int rule_id);
   bool step_isolation();
   bool step_drain();
-  sim::Picoseconds now_ps() const;
 
   StateDb& db_;
   const FleetSpec& spec_;

@@ -38,7 +38,6 @@ QuotaGovernor::Tenant& QuotaGovernor::tenant(const std::string& name) {
 }
 
 void QuotaGovernor::observe_demand(const std::string& name, int want_prrs) {
-  if (!cfg_.enabled) return;
   Tenant& t = tenant(name);
   t.idle = 0;  // demand resets the shrink streak
   if (t.usage + want_prrs > t.budget) {
@@ -61,7 +60,6 @@ void QuotaGovernor::set_usage(const std::string& name, int prrs) {
 }
 
 void QuotaGovernor::tick() {
-  if (!cfg_.enabled) return;
   for (auto& [name, t] : tenants_) {
     const double low_mark = cfg_.shrink_below * static_cast<double>(t.budget);
     if (t.budget > cfg_.min_budget_prrs &&
@@ -83,7 +81,6 @@ void QuotaGovernor::tick() {
 
 bool QuotaGovernor::admit(const std::string& name, int want_prrs,
                           int fleet_free_prrs) const {
-  if (!cfg_.enabled) return true;
   const auto it = tenants_.find(name);
   const int budget = it != tenants_.end() ? it->second.budget
                                           : initial_budget();

@@ -57,7 +57,6 @@ const char* policy_name(RoutePolicy p);
 
 /// Elastic per-tenant quota knobs (see fleet/quota.hpp).
 struct QuotaConfig {
-  bool enabled = true;
   int min_budget_prrs = 2;
   int max_budget_prrs = 64;
   /// Starting budget for a first-seen tenant; 0 = fleet PRRs / 4,

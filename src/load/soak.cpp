@@ -13,7 +13,6 @@
 
 #include "fleet/controlplane.hpp"
 #include "load/fleet_soak.hpp"
-#include "obs/health/flight.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/fault.hpp"
@@ -289,8 +288,8 @@ class SoakLoop {
 };
 
 /// One VapresSystem + scheduler (run_soak): local app ids, the (id,
-/// verdict) fold, MonotoneClockCheck and RSS samples, the "soakharness"
-/// checkpoint/resume blob, and a flight bundle cut from a snapshot.
+/// verdict) fold, MonotoneClockCheck and RSS samples, and the
+/// "soakharness" checkpoint/resume blob.
 class SystemSoak final : public SoakLoop {
  public:
   SystemSoak(const SoakOptions& opt, SoakResult& res)
@@ -385,7 +384,7 @@ class SystemSoak final : public SoakLoop {
     ++out_.snapshots_taken;
     out_.checkpoint_wall_seconds += seconds_since(t0);
     if (opt_.snapshot_out != nullptr) *opt_.snapshot_out = std::move(blob);
-    return named && opt_.stop_at_snapshot;
+    return named;
   }
 
   void finish() override {
@@ -398,18 +397,6 @@ class SystemSoak final : public SoakLoop {
         static_cast<std::uint64_t>(acc.defrag_migrations);
     out_.fault_opportunities = sim::FaultInjector::instance().opportunities(
         sim::FaultSite::kIcapBitstreamCorruption);
-    // Black-box: a dirty invariant sweep writes a postmortem bundle with
-    // the final system snapshot, trace ring, and metrics.
-    if (!opt_.flight_dir.empty() && !out_.ok()) {
-      obs::health::FlightRecorder rec(opt_.flight_dir);
-      const std::string blob =
-          snap::SystemSnapshot::save(*sys_, out_.submitted, sched_.get());
-      if (!rec.record("soak_invariant_failure", now(), blob, std::string{},
-                      nullptr, out_.invariants.to_string())
-               .empty()) {
-        ++out_.flight_bundles;
-      }
-    }
     if (!rss_samples_.empty()) {
       out_.rss_kb_start = rss_samples_.front();
       out_.rss_kb_mid = rss_samples_[rss_samples_.size() / 2];

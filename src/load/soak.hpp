@@ -33,15 +33,14 @@ struct SoakOptions {
   std::optional<ScenarioSpec> scenario;
 
   // ---- checkpoint/restore (snap subsystem, docs/SNAPSHOT.md) ----------
-  /// Take one full-system checkpoint after this many submissions
-  /// (0 = never). The blob wraps the system+scheduler snapshot plus the
-  /// harness state (generator cursors, departure schedule, run digest).
+  /// Take one full-system checkpoint after this many submissions and
+  /// end the run there (simulated crash; 0 = never). The blob wraps the
+  /// system+scheduler snapshot plus the harness state (generator
+  /// cursors, departure schedule, run digest); the result is partial
+  /// and resumable via resume_from.
   std::uint64_t snapshot_at = 0;
   /// Receives the most recent checkpoint blob when non-null.
   std::string* snapshot_out = nullptr;
-  /// End the run right after the snapshot_at checkpoint (simulated
-  /// crash); the result is partial and resumable via resume_from.
-  bool stop_at_snapshot = false;
   /// Resume from a soak checkpoint blob (empty = fresh run). The other
   /// options must match the checkpointed run's; the final digest then
   /// equals the uninterrupted run's bit for bit.
@@ -49,11 +48,6 @@ struct SoakOptions {
   /// Additionally checkpoint every N submissions (0 = off) — the
   /// overhead-measurement knob bench_soak gates at <= 5% of wall time.
   std::uint64_t snapshot_every = 0;
-
-  /// Black-box flight recorder (docs/HEALTH.md): when non-empty, any
-  /// invariant violation detected by the final sweep writes a postmortem
-  /// bundle (system snapshot + trace + metrics) under this directory.
-  std::string flight_dir;
 };
 
 /// What both soak entry points report; SoakResult and FleetSoakResult
@@ -70,8 +64,8 @@ struct SoakTotals {
   std::uint64_t churn_stops = 0;
   /// ICAP faults injected by storm phases (0 without one).
   std::uint64_t faults_injected = 0;
-  /// Flight-recorder bundles written (0 without flight_dir / on a clean
-  /// run).
+  /// Flight-recorder bundles written (a fleet soak's, with
+  /// FleetSoakOptions::flight_dir; 0 on a clean run).
   std::uint64_t flight_bundles = 0;
 
   /// System-clock cycles simulated (a fleet's: its max fabric clock).

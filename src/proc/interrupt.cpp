@@ -41,10 +41,7 @@ void InterruptController::sample() {
   for (int i = 0; i < num_sources(); ++i) {
     const std::uint32_t bit = 1u << i;
     if ((enable_mask_ & bit) == 0 || (pending_ & bit) != 0) continue;
-    if (sources_[static_cast<std::size_t>(i)].level()) {
-      pending_ |= bit;
-      ++total_latched_;
-    }
+    if (sources_[static_cast<std::size_t>(i)].level()) pending_ |= bit;
   }
 }
 

@@ -44,9 +44,6 @@ class InterruptController {
   /// re-latch on the next sample if still asserted).
   void acknowledge(int irq);
 
-  std::uint32_t pending_mask() const { return pending_; }
-  std::uint64_t total_latched() const { return total_latched_; }
-
  private:
   void check_irq(int irq) const;
 
@@ -57,7 +54,6 @@ class InterruptController {
   std::vector<Source> sources_;
   std::uint32_t enable_mask_ = 0;
   std::uint32_t pending_ = 0;
-  std::uint64_t total_latched_ = 0;
 };
 
 }  // namespace vapres::proc

@@ -121,10 +121,16 @@ class FaultInjector {
                      std::uint64_t detail = 0);
 
   /// Wires the simulation clock used to stamp inject/recover events on
-  /// the obs::EventBus. The pointer must stay valid until cleared (the
-  /// owning VapresSystem sets it in its constructor and clears it in its
-  /// destructor). Null — the default — stamps events at time 0.
+  /// the obs::EventBus. The pointer must stay valid until released (a
+  /// VapresSystem sets it in its constructor and releases it in its
+  /// destructor, so the last-built live system's clock stamps). Null —
+  /// the default — stamps events at time 0.
   void set_time_source(const Picoseconds* now) { now_ = now; }
+  /// Clears the time source only if it is still `now`: a system built
+  /// later may own it by now.
+  void release_time_source(const Picoseconds* now) {
+    if (now_ == now) now_ = nullptr;
+  }
 
   std::uint64_t injected(FaultSite site) const;
   std::uint64_t opportunities(FaultSite site) const;

@@ -908,6 +908,18 @@ bool SystemSnapshot::has_switch(const std::string& blob) {
   return SnapshotReader(blob).has_section("switch");
 }
 
+std::vector<sched::AppRecord> SystemSnapshot::app_records(
+    const std::string& blob) {
+  const SnapshotReader r(blob);
+  VAPRES_REQUIRE(r.has_section("sched"),
+                 "app_records: no scheduler section in snapshot");
+  Fields::SchedJournal j = Fields::read_journal(r);
+  std::vector<sched::AppRecord> records;
+  records.reserve(j.records.size());
+  for (auto& entry : j.records) records.push_back(std::move(entry.rec));
+  return records;
+}
+
 // ---------------------------------------------------------------------------
 // cold restore
 // ---------------------------------------------------------------------------

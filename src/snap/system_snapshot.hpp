@@ -17,8 +17,9 @@
 //     PRRs and channels still match the journal, resuming (or rolling
 //     back) an in-flight 9-step module switch from its journaled step,
 //     and never resetting a healthy stream;
-//   * fleet failover (fleet/controlplane.cpp): a crashed fabric's
-//     snapshot seeds replay-admission of its apps onto a spare fabric.
+//   * fleet failover (fleet/controlplane.cpp) restores nothing: it reads
+//     a crashed fabric's journaled app records (app_records) and
+//     replay-admits the running ones onto a spare fabric.
 //
 // Cold snapshots require a quiescent controller: no reconfiguration in
 // flight, no prefetch staging, no software task other than a journaled
@@ -73,6 +74,11 @@ class SystemSnapshot {
   static std::uint64_t epoch(const std::string& blob);
   static bool has_scheduler(const std::string& blob);
   static bool has_switch(const std::string& blob);
+  /// The journaled app records of a blob's scheduler section, in id
+  /// order. Read-only: builds no system and touches no process-wide
+  /// state. Throws vapres::ModelError on a corrupt blob or one without
+  /// a scheduler section.
+  static std::vector<sched::AppRecord> app_records(const std::string& blob);
 
   /// Cold restore: builds a new system from `params`/`library` (which
   /// must match the snapshot's fingerprint) and overlays every saved

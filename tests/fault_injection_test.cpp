@@ -6,14 +6,17 @@
 // scoreboard is the evidence that every injected fault was handled.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "comm/fifo.hpp"
 #include "core/scrubber.hpp"
 #include "core/stats.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
+#include "obs/bus.hpp"
 #include "sim/fault.hpp"
 #include "test_util.hpp"
 
@@ -283,6 +286,39 @@ TEST(FaultInjection, FaultsInjectedStayOnTheirSystem) {
   ASSERT_EQ(rig.injector().total_injected(), 1u);
   EXPECT_EQ(core::collect_stats(*rig.sys).robustness.faults_injected, 1u);
   EXPECT_EQ(core::collect_stats(other).robustness.faults_injected, 0u);
+}
+
+// The injector stamps faults with the last-built live system's clock:
+// destroying an older system must not take a newer one's clock away (a
+// fleet's kill_fabric builds the replacement before the old one dies).
+TEST(FaultInjection, InjectStampOutlivesAnOlderSystem) {
+  core::SystemParams p = core::SystemParams::prototype();
+  p.rsbs[0].prr_width_clbs = 4;
+  auto older = std::make_unique<core::VapresSystem>(p);
+  core::VapresSystem sys(std::move(p));
+  sys.bring_up_all_sites();
+  older.reset();
+  sys.run_system_cycles(1000);
+  sys.preload_sdram("gain_x2", 0, 1);
+
+  obs::EventBus& bus = obs::EventBus::instance();
+  bus.enable(obs::EventBus::bit(obs::Subsystem::kFault));
+  sim::ScopedFaultInjection faults(0x57A3Du);
+  faults->arm(FaultSite::kIcapBitstreamCorruption, /*nth=*/0);
+  const sim::Picoseconds armed_at = sys.sim().now();
+  sys.reconfigure_now(0, 1, "gain_x2");
+  std::vector<obs::Event> injects;
+  for (const obs::Event& e : bus.snapshot()) {
+    if (e.subsystem == obs::Subsystem::kFault && e.code == obs::ev::kInject) {
+      injects.push_back(e);
+    }
+  }
+  bus.disable();
+
+  ASSERT_EQ(injects.size(), 1u);
+  EXPECT_GT(armed_at, 0u);
+  EXPECT_GE(injects[0].time_ps, armed_at);
+  EXPECT_LE(injects[0].time_ps, sys.sim().now());
 }
 
 // ----------------------------------------------- deterministic replay

@@ -6,7 +6,9 @@
 #include "fleet/controlplane.hpp"
 #include "load/invariants.hpp"
 #include "load/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/fault.hpp"
 
 namespace vapres {
 namespace {
@@ -418,6 +420,58 @@ TEST(FleetFailover, RetiresAppsAlreadyTerminalInTheCheckpoint) {
   EXPECT_EQ(fr.apps_retired, 1);
   EXPECT_EQ(fr.apps_lost, 0);
   EXPECT_FALSE(fc.locate(d.fleet_id).has_value());
+}
+
+// Failover reads the crashed fabric's checkpoint without restoring it,
+// so the process-wide registry and injector keep their live values
+// instead of rewinding to the checkpoint's.
+TEST(FleetFailover, LeavesSurvivorsMetricsAndInjectorUntouched) {
+  fleet::ControlPlane fc(fleet::FleetSpec::uniform(2));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fc.submit("t0", request("pre" + std::to_string(i),
+                                        {"gain_x2"}, 1, 8, /*words=*/0))
+                    .admitted);
+  }
+  fc.advance_to(fc.now() + 2000);
+  fc.checkpoint_all();
+
+  // After the checkpoint: more routed work, on the fabric that survives,
+  // and injection switched on with nothing armed.
+  const fleet::RouteDecision late =
+      fc.submit("t1", request("late", {"gain_x2"}, 1, 8, /*words=*/0));
+  ASSERT_TRUE(late.admitted);
+  const int spare = late.fabric;
+  const int crashed = 1 - spare;
+  sim::ScopedFaultInjection faults(0xFA110u);
+  fc.advance_to(fc.now() + 2000);
+
+  obs::Registry& reg = obs::Registry::instance();
+  const std::uint64_t submissions =
+      reg.counter("fleet.route.submissions").value();
+  const std::uint64_t launches =
+      reg.histogram("sched.submit_to_launch.cycles").count();
+  std::vector<std::uint64_t> opportunities;
+  for (int site = 0; site < sim::kNumFaultSites; ++site) {
+    opportunities.push_back(
+        faults->opportunities(static_cast<sim::FaultSite>(site)));
+  }
+  ASSERT_GT(opportunities[static_cast<std::size_t>(
+                sim::FaultSite::kSwitchBoxStuckPort)],
+            0u);
+
+  fc.kill_fabric(crashed);
+  const fleet::FailoverResult fr = fc.failover(crashed, spare);
+  EXPECT_EQ(fr.apps_lost, 0);
+
+  EXPECT_EQ(reg.counter("fleet.route.submissions").value(), submissions);
+  EXPECT_GE(reg.histogram("sched.submit_to_launch.cycles").count(),
+            launches);
+  EXPECT_TRUE(faults->enabled());
+  for (int site = 0; site < sim::kNumFaultSites; ++site) {
+    EXPECT_GE(faults->opportunities(static_cast<sim::FaultSite>(site)),
+              opportunities[static_cast<std::size_t>(site)])
+        << sim::fault_site_name(static_cast<sim::FaultSite>(site));
+  }
 }
 
 TEST(FleetFailover, RequiresCheckpointAndDistinctSpare) {

@@ -93,6 +93,38 @@ TEST(Snap, EpochAndSectionProbes) {
   EXPECT_FALSE(SystemSnapshot::has_switch(blob2));
 }
 
+// app_records reads the journaled apps without a restore: the registry a
+// cold restore would reset keeps its live values.
+TEST(Snap, AppRecordsProbeReadsTheJournalOnly) {
+  core::VapresSystem sys(quad_params());
+  sys.bring_up_all_sites();
+  sched::ApplicationScheduler sched(sys);
+  const int live = sched.submit(make_app("live", {"gain_x2"}));
+  const int gone = sched.submit(make_app("gone", {"passthrough"}));
+  sched.run_admission();
+  sched.stop(gone);
+  quiesce(sys);
+  const std::string blob = SystemSnapshot::save(sys, 7, &sched);
+
+  obs::Counter& probe = obs::Registry::instance().counter("snap.test.probe");
+  probe.add(5);
+  const std::uint64_t before = probe.value();
+  const std::vector<sched::AppRecord> recs = SystemSnapshot::app_records(blob);
+  EXPECT_EQ(probe.value(), before);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].id, live);
+  EXPECT_EQ(recs[0].request.name, "live");
+  EXPECT_TRUE(recs[0].running());
+  EXPECT_EQ(recs[1].id, gone);
+  EXPECT_FALSE(recs[1].running());
+
+  std::string corrupt = blob;
+  corrupt[corrupt.size() / 2] ^= 0x40;
+  EXPECT_THROW(SystemSnapshot::app_records(corrupt), ModelError);
+  EXPECT_THROW(SystemSnapshot::app_records(SystemSnapshot::save(sys, 8)),
+               ModelError);
+}
+
 TEST(Snap, RejectsCorruptAndTruncatedBlobs) {
   core::VapresSystem sys(quad_params());
   sys.bring_up_all_sites();
@@ -778,7 +810,6 @@ TEST(SnapLayout, SoakResumeBlobIsPinned) {
   opt.seed = 3;
   opt.snapshot_at = 48;
   opt.snapshot_out = &blob;
-  opt.stop_at_snapshot = true;
   load::run_soak(opt);
   ASSERT_FALSE(blob.empty());
   expect_pinned(blob, {39128, 0xfce0ddba31565df7ULL});

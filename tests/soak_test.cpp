@@ -165,7 +165,6 @@ TEST(Soak, ResumeMidRunMatchesUninterrupted) {
   std::string blob;
   crash.snapshot_at = 120;
   crash.snapshot_out = &blob;
-  crash.stop_at_snapshot = true;
   const load::SoakResult partial = load::run_soak(crash);
   ASSERT_FALSE(blob.empty());
   EXPECT_EQ(partial.snapshots_taken, 1u);
