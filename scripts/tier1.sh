@@ -124,7 +124,7 @@ print(f"trace OK: {len(events)} events, all 9 switch steps present")
 EOF
 
 echo
-echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/fault tests under address,undefined ==="
+echo "=== tier-1: sched/soak/fleet/snap/health/sim/simkernel/fault tests under address,undefined ==="
 # The soak smoke (soak_test, ~10^3 lifetimes, including the
 # agent-crash-churn fleet run), the fleet router tests (fleet_test:
 # cross-fabric migration rollback, master adoption, quota preemption,
@@ -145,13 +145,16 @@ echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/fault tests under addre
 # injector keeps raw pointers to every live switch box (its per-commit
 # sites), and a box left registered past its destruction is one too;
 # switch_box_test registers boxes as those sites and cold-restores them.
+# The kernel unit tests (sim_test) ride along for the event queue:
+# run_due moves each callback out of the heap before it runs, a
+# lifetime-sensitive step.
 cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
   fleet_test statedb_test snap_test health_test simkernel_test fuzz_test \
   icap_test fault_injection_test bitman_test switching_fault_test \
-  switch_box_test
+  switch_box_test sim_test
 ctest --test-dir "$SAN_BUILD" \
-  -L 'sched|soak|fleet|snap|health|simkernel|fault' --output-on-failure
+  -L 'sched|soak|fleet|snap|health|sim|simkernel|fault' --output-on-failure
 
 echo
 echo "tier-1: all green"

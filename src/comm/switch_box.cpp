@@ -125,6 +125,10 @@ bool SwitchBox::quiescent() const {
 }
 
 void SwitchBox::eval() {
+  // Settled and no source driven since the last eval: every register
+  // would latch what it already holds. Sources change only through
+  // sim::drive, which wakes this box (see connect_input).
+  if (!take_woken() && settled_) return;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     regs_next_[i] = sources_[i] != nullptr ? *sources_[i] : kIdleFlit;
     if (!(regs_next_[i] == regs_[i])) settled_ = false;

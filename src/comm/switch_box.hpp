@@ -91,6 +91,10 @@ class SwitchBox final : public sim::Clocked {
   /// Total stuck events injected over the box's lifetime.
   int stuck_events() const { return stuck_events_; }
 
+  /// Latches every source into the next-register set. A settled box
+  /// that no source's writer has woken since its last eval skips this:
+  /// the registers would latch what they already hold. That is the box an
+  /// enabled injector keeps awake with nothing to carry.
   void eval() override;
   /// A settled box whose eval() latched nothing new skips the register
   /// copy and the mux pass: its outputs already equal their selections.

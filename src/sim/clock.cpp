@@ -1,6 +1,7 @@
 #include "sim/clock.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/bus.hpp"
 #include "sim/check.hpp"
@@ -13,6 +14,12 @@ namespace {
 // semantically invisible (skipping is only an optimization), so the sweep
 // is amortized instead of run per tick.
 constexpr Cycles kPollInterval = 8;
+
+constexpr std::size_t kWordBits = 64;
+
+std::uint64_t slot_bit(std::size_t slot) {
+  return std::uint64_t{1} << (slot % kWordBits);
+}
 }  // namespace
 
 Clocked::~Clocked() {
@@ -21,7 +28,7 @@ Clocked::~Clocked() {
 
 void Clocked::activate() {
   active_ = true;
-  if (domain_ != nullptr) domain_->note_wake();
+  if (domain_ != nullptr) domain_->note_wake(slot_);
 }
 
 ClockDomain::ClockDomain(std::string name, double frequency_mhz)
@@ -51,34 +58,27 @@ void ClockDomain::attach(Clocked* component) {
   VAPRES_REQUIRE(component != nullptr, "cannot attach null component");
   VAPRES_REQUIRE(component->domain_ == nullptr,
                  component->name() + ": already attached to a clock domain");
-  bool was_empty = true;
-  for (const Clocked* c : components_) {
-    if (c != nullptr) {
-      was_empty = false;
-      break;
-    }
-  }
-  if (was_empty && now_ != nullptr) {
+  if (live_count_ == 0 && now_ != nullptr) {
     // A domain with no components is not scheduled; restart its edge
     // schedule from the present so the first edge is not in the past.
     reanchor();
   }
+  const std::size_t slot = components_.size();
   component->domain_ = this;
+  component->slot_ = slot;
   component->active_ = true;
   ++active_count_;
   ++live_count_;
   components_.push_back(component);
+  if (slot % kWordBits == 0) awake_.push_back(0);
+  awake_[slot / kWordBits] |= slot_bit(slot);
 }
 
 void ClockDomain::detach(Clocked* component) {
-  bool found = false;
-  for (Clocked*& slot : components_) {
-    if (slot == component) {
-      slot = nullptr;
-      found = true;
-    }
-  }
-  if (!found) return;
+  if (component->domain_ != this) return;
+  const std::size_t slot = component->slot_;
+  components_[slot] = nullptr;
+  awake_[slot / kWordBits] &= ~slot_bit(slot);
   if (component->active_) --active_count_;
   --live_count_;
   component->domain_ = nullptr;
@@ -97,18 +97,34 @@ void ClockDomain::compact() {
   components_.erase(
       std::remove(components_.begin(), components_.end(), nullptr),
       components_.end());
+  awake_.assign((components_.size() + kWordBits - 1) / kWordBits, 0);
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    components_[i]->slot_ = i;
+    if (components_[i]->active_) awake_[i / kWordBits] |= slot_bit(i);
+  }
   pending_compaction_ = false;
 }
 
-Picoseconds ClockDomain::next_edge(Picoseconds /*now*/) const {
-  return anchor_ps_ + period_ps_;
+template <typename Visit>
+void ClockDomain::walk_awake(std::size_t n, Visit&& visit) {
+  for (std::size_t base = 0; base < n; base += kWordBits) {
+    const std::size_t w = base / kWordBits;
+    // Slots at or past n were attached mid-tick: their first edge is the
+    // next tick's.
+    const std::uint64_t in_range =
+        n - base >= kWordBits ? ~std::uint64_t{0} : slot_bit(n) - 1;
+    std::uint64_t passed = 0;  // this word's slots at or before the visit
+    for (;;) {
+      const std::uint64_t bits = awake_[w] & in_range & ~passed;
+      if (bits == 0) break;
+      const int b = std::countr_zero(bits);
+      passed = ~std::uint64_t{0} >> (kWordBits - 1 - b);
+      visit(components_[base + static_cast<std::size_t>(b)]);
+    }
+  }
 }
 
-bool ClockDomain::exhaustive() const {
-  return !activity_driven_;
-}
-
-void ClockDomain::note_wake() {
+void ClockDomain::note_wake(std::size_t slot) {
   if (active_count_ == 0 && !components_.empty()) {
     // The whole domain was asleep; this wake re-arms it.
     auto& bus = obs::EventBus::instance();
@@ -118,6 +134,7 @@ void ClockDomain::note_wake() {
                   cycle_count_);
     }
   }
+  awake_[slot / kWordBits] |= slot_bit(slot);
   ++active_count_;
   ++stats_.component_wakes;
 }
@@ -131,30 +148,25 @@ void ClockDomain::tick() {
     for (Clocked* c : components_) {
       if (c != nullptr && !c->active_) {
         c->active_ = true;
+        awake_[c->slot_ / kWordBits] |= slot_bit(c->slot_);
         ++active_count_;
       }
     }
   }
   ticking_ = true;
-  // Components attached mid-tick get their first edge next tick; activity
-  // flags are read at visit time, so a component woken by an earlier
+  // Components attached mid-tick get their first edge next tick; the awake
+  // bitmask is read at visit time, so a component woken by an earlier
   // component's commit this very cycle still receives the edge — exactly
   // the cycle the exhaustive kernel would have run it with effect — while
   // one woken in an earlier slot gets its first edge next cycle.
   const std::size_t n = components_.size();
   const std::uint64_t present = static_cast<std::uint64_t>(live_count_);
   std::uint64_t delivered = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    Clocked* c = components_[i];
-    if (c != nullptr && c->active_) c->eval();
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    Clocked* c = components_[i];
-    if (c != nullptr && c->active_) {
-      c->commit();
-      ++delivered;
-    }
-  }
+  walk_awake(n, [](Clocked* c) { c->eval(); });
+  walk_awake(n, [&delivered](Clocked* c) {
+    c->commit();
+    ++delivered;
+  });
   ticking_ = false;
   if (pending_compaction_) compact();
   ++cycle_count_;
@@ -168,12 +180,13 @@ void ClockDomain::tick() {
 
 void ClockDomain::poll_quiescence() {
   if (active_count_ == 0) return;
-  for (Clocked* c : components_) {
-    if (c != nullptr && c->active_ && c->quiescent()) {
+  walk_awake(components_.size(), [this](Clocked* c) {
+    if (c->quiescent()) {
       c->active_ = false;
+      awake_[c->slot_ / kWordBits] &= ~slot_bit(c->slot_);
       --active_count_;
     }
-  }
+  });
   if (active_count_ == 0) {
     ++stats_.domain_sleeps;
     auto& bus = obs::EventBus::instance();

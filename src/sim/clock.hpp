@@ -7,10 +7,11 @@
 // the BUFGMUX select through the PRSocket CLK_sel bit.
 //
 // The domain is quiescence-aware (docs/SIMULATOR.md): each tick delivers
-// the edge only to awake components, a post-tick poll deactivates the ones
-// that report quiescent, and a domain whose every component sleeps stops
-// being scheduled at all — the Simulator fast-forwards its cycle counter
-// analytically, so cycle_count()/cycles_to_ps stay exact across sleeps.
+// the edge only to awake components (a walk of a bitmask of awake slots),
+// a post-tick poll deactivates the ones that report quiescent, and a
+// domain whose every component sleeps stops being scheduled at all — the
+// Simulator fast-forwards its cycle counter analytically, so
+// cycle_count()/cycles_to_ps stay exact across sleeps.
 #pragma once
 
 #include <cstdint>
@@ -105,14 +106,15 @@ class ClockDomain {
   // first post-restore tick re-evaluates every activity flag.
   friend class ::vapres::snap::SystemSnapshot;
 
-  /// Absolute time of the next rising edge, given current time `now`.
-  Picoseconds next_edge(Picoseconds now) const;
+  /// Absolute time of the next rising edge.
+  Picoseconds next_edge() const { return anchor_ps_ + period_ps_; }
 
   /// Delivers one rising edge: eval pass, then commit pass, then (every
-  /// few cycles) the quiescence poll. Skips sleeping components unless
-  /// running exhaustively. Fault injection does not change the mode: the
-  /// one per-commit fault site (a switch box's muxes) keeps its boxes
-  /// awake itself while injection is enabled.
+  /// few cycles) the quiescence poll. Each pass walks the awake-slot
+  /// bitmask in slot order and costs only what is awake; sleeping
+  /// components are skipped unless running exhaustively. Fault injection
+  /// does not change the mode: the one per-commit fault site (a switch
+  /// box's muxes) keeps its boxes awake itself while injection is enabled.
   void tick();
 
   /// Analytically credits the edges a sleeping domain would have received
@@ -123,14 +125,20 @@ class ClockDomain {
 
   /// Whether every component must be ticked regardless of activity flags:
   /// only in the exhaustive reference mode (activity-driven off).
-  bool exhaustive() const;
+  bool exhaustive() const { return !activity_driven_; }
 
   /// Post-tick sweep: deactivates components whose quiescent() report
   /// allows sleeping.
   void poll_quiescence();
 
-  /// Counts one sleeping component re-armed (Clocked::wake()).
-  void note_wake();
+  /// Calls `visit` on each awake component in slots [0, n), in slot order.
+  /// The bitmask is re-read after every visit, so a visit that wakes a
+  /// later slot delivers to it and one that detaches a later slot skips it.
+  template <typename Visit>
+  void walk_awake(std::size_t n, Visit&& visit);
+
+  /// Re-arms the sleeping component in `slot` (Clocked::wake()).
+  void note_wake(std::size_t slot);
   void compact();
 
   /// Re-anchors the edge schedule to the current simulation time (set by
@@ -148,6 +156,8 @@ class ClockDomain {
   // frequency changes and clock-enable events.
   const Picoseconds* now_ = nullptr;
   std::vector<Clocked*> components_;
+  // Bit i of word i / 64 is set iff components_[i] is non-null and awake.
+  std::vector<std::uint64_t> awake_;
   int active_count_ = 0;
   int live_count_ = 0;  // non-null slots in components_
   bool ticking_ = false;

@@ -17,6 +17,7 @@
 // unaware components on every edge.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace vapres::sim {
@@ -41,7 +42,9 @@ class Clocked {
 
   /// Re-arms edge delivery for this component. Must be called by anything
   /// that changes an input the component reacts to. Safe before attach.
+  /// Also records the call for take_woken(), awake or not.
   void wake() {
+    woken_ = true;
     if (!active_) activate();
   }
 
@@ -51,13 +54,26 @@ class Clocked {
   /// Human-readable instance name for traces and error messages.
   virtual std::string name() const { return "<clocked>"; }
 
+ protected:
+  /// Whether wake() was called since the last take_woken() (true before
+  /// the first), and clears the record. A component whose inputs only
+  /// change through wake-calling writers (sim::drive, its own mutators)
+  /// may skip eval() while this is false and its state is settled.
+  bool take_woken() {
+    const bool woken = woken_;
+    woken_ = false;
+    return woken;
+  }
+
  private:
   friend class ClockDomain;
 
   void activate();
 
   ClockDomain* domain_ = nullptr;
+  std::size_t slot_ = 0;  ///< index in domain_'s slot vector
   bool active_ = true;
+  bool woken_ = true;
 };
 
 /// Latches `next` into `wire`, a signal another component samples by raw

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -54,7 +53,13 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  // A binary heap under Later (std::push_heap / std::pop_heap). Cancelled
+  // entries stay in it until they surface; pending_ids_ is the source of
+  // truth, and cancelled_ counts the entries still in the heap that are
+  // not in it, so a peek with none skips the hash lookup. Both are
+  // mutable for that lazy cleanup in next_time().
+  mutable std::vector<Entry> heap_;
+  mutable std::size_t cancelled_ = 0;
   std::unordered_set<EventId> pending_ids_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;

@@ -38,7 +38,7 @@ Picoseconds Simulator::next_activity() const {
     // fast-forwarded when time moves. Exhaustive mode keeps every domain
     // on the schedule.
     if (d->active_count_ == 0 && !d->exhaustive()) continue;
-    next = std::min(next, d->next_edge(now_));
+    next = std::min(next, d->next_edge());
   }
   if (!events_.empty()) {
     next = std::min(next, events_.next_time());
@@ -72,7 +72,7 @@ void Simulator::deliver_at(Picoseconds t) {
   // domains still fully asleep take the edge as a credited skip.
   for (const auto& d : domains_) {
     if (!d->enabled() || d->components_.empty()) continue;
-    if (d->next_edge(now_) != now_) continue;
+    if (d->next_edge() != now_) continue;
     if (d->active_count_ == 0 && !d->exhaustive()) {
       d->fast_forward(now_, /*inclusive=*/true);  // credits this one edge
     } else {

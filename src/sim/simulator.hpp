@@ -3,8 +3,9 @@
 // A Simulator owns a set of clock domains and a one-shot event queue and
 // advances global picosecond time to the next edge or event. At a given
 // timestamp, due events run first (control actions precede the clock edge
-// they gate), then every coincident domain ticks (eval pass across all
-// coincident domains' components, then commit pass per domain).
+// they gate), then every coincident domain ticks in creation order, each a
+// whole eval pass then commit pass before the next domain's eval (so a
+// later domain's eval sees what an earlier one committed at that instant).
 //
 // The kernel is activity-driven by default (docs/SIMULATOR.md): domains
 // whose every component reports quiescent stop being scheduled, their

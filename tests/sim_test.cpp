@@ -2,6 +2,8 @@
 // semantics, multi-domain ordering, runtime frequency changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -80,6 +82,111 @@ TEST(EventQueue, NextTimeSkipsCancelledHead) {
   q.schedule_at(9, [] {});
   q.cancel(id);
   EXPECT_EQ(q.next_time(), 9u);
+}
+
+// A cancelled entry stays in the heap until it surfaces; the queue counts
+// those entries so a peek with none skips the pending-id lookup. The
+// counts must stay exact whichever entry is cancelled and when.
+TEST(EventQueue, CancelNonHeadThenHead) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto head = q.schedule_at(5, [&] { order.push_back(5); });
+  const auto middle = q.schedule_at(7, [&] { order.push_back(7); });
+  q.schedule_at(9, [&] { order.push_back(9); });
+  EXPECT_EQ(q.pending(), 3u);
+
+  EXPECT_TRUE(q.cancel(middle));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.next_time(), 5u);
+  EXPECT_FALSE(q.cancel(middle));  // already cancelled
+
+  EXPECT_TRUE(q.cancel(head));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_time(), 9u);  // both cancelled entries dropped
+
+  q.run_due(8);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_due(9);
+  EXPECT_EQ(order, (std::vector<int>{9}));
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelAfterRunLeavesCountsExact) {
+  EventQueue q;
+  int runs = 0;
+  const auto ran = q.schedule_at(3, [&] { ++runs; });
+  q.schedule_at(4, [&] { ++runs; });
+  q.run_due(3);
+  EXPECT_FALSE(q.cancel(ran));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.next_time(), 4u);  // the live entry is still the head
+  q.run_due(4);
+  EXPECT_EQ(runs, 2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ThousandCancelsAmongThousandLive) {
+  EventQueue q;
+  struct Scheduled {
+    Picoseconds when;
+    int index;
+    EventQueue::EventId id;
+  };
+  std::vector<int> ran;
+  std::vector<Scheduled> all;
+  // 2000 events over 50 timestamps, so most share theirs with others.
+  for (int i = 0; i < 2000; ++i) {
+    const Picoseconds when = static_cast<Picoseconds>((i * 7919) % 50);
+    all.push_back({when, i, q.schedule_at(when, [&ran, i] {
+                     ran.push_back(i);
+                   })});
+  }
+  // Cancel every other one, alternating between the two halves of the
+  // schedule so heads and non-heads alike are cancelled.
+  std::vector<Scheduled> live;
+  std::size_t pending = all.size();
+  for (const Scheduled& e : all) {
+    if ((e.index + e.index / 1000) % 2 == 0) {
+      ASSERT_TRUE(q.cancel(e.id));
+      --pending;
+      ASSERT_EQ(q.pending(), pending);
+      ASSERT_FALSE(q.empty());
+    } else {
+      live.push_back(e);
+    }
+  }
+  ASSERT_EQ(live.size(), 1000u);
+  std::stable_sort(live.begin(), live.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.when < b.when;
+                   });
+  std::vector<int> expected;
+  for (const Scheduled& e : live) expected.push_back(e.index);
+
+  for (Picoseconds t = 0; t < 50; ++t) {
+    ASSERT_EQ(q.empty(), q.pending() == 0);
+    ASSERT_EQ(q.next_time(), t);  // every timestamp keeps a live event
+    q.run_due(t);
+    // Every event at t has run or was cancelled: neither cancels again.
+    for (const Scheduled& e : all) {
+      if (e.when == t) {
+        ASSERT_FALSE(q.cancel(e.id)) << e.index;
+      }
+    }
+    const auto later = std::count_if(
+        live.begin(), live.end(), [t](const Scheduled& e) {
+          return e.when > t;
+        });
+    ASSERT_EQ(q.pending(), static_cast<std::size_t>(later));
+    ASSERT_EQ(q.empty(), later == 0);
+  }
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 // --------------------------------------------------------------- ClockDomain
@@ -200,6 +307,57 @@ TEST(Simulator, EventsBeforeCoincidentEdges) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "event");
   EXPECT_EQ(order[1], "edge");
+}
+
+// Coincident domains tick one after another in creation order, each a
+// whole eval + commit, so a later-created domain's eval already sees what
+// an earlier one committed at the same instant.
+TEST(Simulator, CoincidentDomainsTickInCreationOrder) {
+  Simulator sim;
+  auto& first = sim.create_domain("first", 100.0);
+  auto& second = sim.create_domain("second", 100.0);
+  std::vector<std::string> log;
+  int wire = 0;  // written by the first domain's commit
+  class Writer final : public Clocked {
+   public:
+    Writer(std::vector<std::string>& log, int& wire)
+        : log_(log), wire_(wire) {}
+    void eval() override { log_.push_back("first.eval"); }
+    void commit() override {
+      log_.push_back("first.commit");
+      ++wire_;
+    }
+
+   private:
+    std::vector<std::string>& log_;
+    int& wire_;
+  };
+  class Reader final : public Clocked {
+   public:
+    Reader(std::vector<std::string>& log, const int& wire)
+        : log_(log), wire_(wire) {}
+    std::vector<int> seen;
+    void eval() override {
+      log_.push_back("second.eval");
+      seen.push_back(wire_);
+    }
+    void commit() override { log_.push_back("second.commit"); }
+
+   private:
+    std::vector<std::string>& log_;
+    const int& wire_;
+  };
+  // Attach in the opposite order of creation: creation order decides.
+  Reader reader(log, wire);
+  Writer writer(log, wire);
+  second.attach(&reader);
+  first.attach(&writer);
+  sim.run_cycles(first, 2);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "first.eval", "first.commit", "second.eval",
+                     "second.commit", "first.eval", "first.commit",
+                     "second.eval", "second.commit"}));
+  EXPECT_EQ(reader.seen, (std::vector<int>{1, 2}));
 }
 
 TEST(Simulator, ScheduleAfterCycles) {

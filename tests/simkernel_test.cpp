@@ -389,6 +389,105 @@ TEST(Quiescence, MidTickWakeInSparseDomainKeepsVisitOrder) {
   EXPECT_EQ(fast.late, ref.late);
 }
 
+// The awake-slot walk reads the domain's bitmask one 64-slot word at a
+// time. Across the word boundary a wake must keep the same visit-order
+// semantics, a component attached mid-tick must get no edge that tick,
+// and a compaction after a self-detach must re-index every slot.
+
+/// Detaches itself during its commit at cycle `at`.
+class TimedSelfEvictor final : public Clocked {
+ public:
+  TimedSelfEvictor(ClockDomain& d, Cycles at) : domain_(d), at_(at) {}
+  void eval() override {}
+  void commit() override {
+    if (domain_.cycle_count() == at_) domain_.detach(this);
+  }
+
+ private:
+  ClockDomain& domain_;
+  Cycles at_;
+};
+
+/// Attaches `late` to the domain during its commit at cycle `at`.
+class TimedAttacher final : public Clocked {
+ public:
+  TimedAttacher(ClockDomain& d, Clocked& late, Cycles at)
+      : domain_(d), late_(late), at_(at) {}
+  void eval() override {}
+  void commit() override {
+    if (domain_.cycle_count() == at_) domain_.attach(&late_);
+  }
+
+ private:
+  ClockDomain& domain_;
+  Clocked& late_;
+  Cycles at_;
+};
+
+struct WideDomainRun {
+  std::vector<Cycles> low;   ///< change cycles of the word-0 sleeper
+  std::vector<Cycles> high;  ///< change cycles of the word-1 sleeper
+  int late_commits = 0;      ///< the component attached mid-tick
+  int late_evals = 0;
+  std::uint64_t edges_skipped = 0;
+};
+
+WideDomainRun run_wide_domain(bool activity) {
+  Simulator sim;
+  sim.set_activity_driven(activity);
+  auto& d = sim.create_domain("clk", 100.0);
+  std::vector<std::unique_ptr<Idler>> fillers;
+  Sampler low(d);
+  Sampler high(d);
+  // Word 1 wakes word 0 (low: the next cycle); word 0 wakes word 1 (high:
+  // the same cycle).
+  Pulser from_high(d, {&low}, {20, 21, 50, 130, 200});
+  Pulser from_low(d, {&high}, {30, 31, 60, 140, 210});
+  TimedSelfEvictor evictor(d, 120);
+  Idler late;
+  TimedAttacher attacher(d, late, 80);
+  int attached = 0;
+  auto attach = [&](Clocked* c) {
+    d.attach(c);
+    ++attached;
+  };
+  auto attach_fillers_to = [&](int slot) {
+    while (attached < slot) {
+      fillers.push_back(std::make_unique<Idler>());
+      fillers.back()->idle = true;
+      attach(fillers.back().get());
+    }
+  };
+  attach_fillers_to(3);
+  attach(&low);  // slot 3
+  attach_fillers_to(60);
+  attach(&from_low);   // slot 60
+  attach(&evictor);    // slot 61: its detach shifts every later slot down
+  attach(&attacher);   // slot 62
+  attach_fillers_to(64);
+  attach(&high);       // slot 64, then 63 (word 0) after the compaction
+  attach(&from_high);  // slot 65, then 64
+  attach_fillers_to(80);  // `late` lands in slot 80, inside word 1
+  sim.run_cycles(d, 250);
+  return {low.changes, high.changes, late.commits, late.evals,
+          d.kernel_stats().edges_skipped};
+}
+
+TEST(Quiescence, AwakeWalkAcrossWordBoundaryMatchesExhaustive) {
+  const WideDomainRun fast = run_wide_domain(true);
+  const WideDomainRun ref = run_wide_domain(false);
+  EXPECT_EQ(fast.low, (std::vector<Cycles>{21, 22, 51, 131, 201}));
+  EXPECT_EQ(fast.high, (std::vector<Cycles>{30, 31, 60, 140, 210}));
+  // Attached during the commit pass of cycle 80: first edge on cycle 81.
+  EXPECT_EQ(fast.late_commits, 250 - 81);
+  EXPECT_EQ(fast.late_evals, 250 - 81);
+  EXPECT_GT(fast.edges_skipped, 0u);  // the fillers and samplers slept
+  EXPECT_EQ(fast.low, ref.low);
+  EXPECT_EQ(fast.high, ref.high);
+  EXPECT_EQ(fast.late_commits, ref.late_commits);
+  EXPECT_EQ(fast.late_evals, ref.late_evals);
+}
+
 // ------------------------------------------------- run_until / run_for
 
 TEST(RunUntil, DeadlineIsInclusive) {

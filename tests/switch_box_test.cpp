@@ -54,13 +54,13 @@ TEST(SwitchBox, OneCycleLatencyPerBox) {
   box.connect_input(box.input_producer(0), &source);
   box.select(box.output_right_lane(0), box.input_producer(0));
 
-  source = Flit{42, true};
+  sim::drive(source, Flit{42, true}, &box);
   sim.run_cycles(clk, 1);
   // After one edge the input register holds the flit and the output mux
   // shows it.
   EXPECT_EQ(*box.output_signal(box.output_right_lane(0)), (Flit{42, true}));
 
-  source = Flit{43, true};
+  sim::drive(source, Flit{43, true}, &box);
   sim.run_cycles(clk, 1);
   EXPECT_EQ(*box.output_signal(box.output_right_lane(0)), (Flit{43, true}));
   clk.detach(&box);
@@ -140,6 +140,33 @@ TEST(SwitchBoxSettled, RepairRestoresOutputNextCycle) {
   EXPECT_EQ(*box.output_signal(out), lane);
   // 3 outputs on the first commit, 2 on the next three, then 3.
   EXPECT_EQ(faults->opportunities(kStuck), 3u + 3 * 2 + 3);
+}
+
+// An enabled injector keeps a settled box awake with nothing to latch,
+// and such a box skips eval() until a source's writer wakes it. A
+// producer flit driven after many idle cycles must still be latched on
+// the next edge.
+TEST(SwitchBoxSettled, DrivenSourceIsLatchedUnderInjection) {
+  sim::ScopedFaultInjection faults(13);  // enabled, nothing armed
+  sim::Simulator sim;
+  auto& clk = sim.create_domain("clk", 100.0);
+  SwitchBox box("sw", SwitchBoxShape{1, 1, 1, 1});
+  clk.attach(&box);
+  Flit producer{};
+  box.connect_input(box.input_producer(0), &producer);
+  const int out = box.output_right_lane(0);
+  box.select(out, box.input_producer(0));
+  sim.run_cycles(clk, 12);  // past a quiescence poll: settled, yet awake
+  ASSERT_TRUE(box.awake());
+  ASSERT_FALSE(faults->live(kStuck));
+  ASSERT_EQ(*box.output_signal(out), kIdleFlit);
+
+  sim::drive(producer, Flit{7, true}, &box);
+  sim.run_cycles(clk, 1);
+  EXPECT_EQ(*box.output_signal(out), (Flit{7, true}));
+  sim::drive(producer, kIdleFlit, &box);
+  sim.run_cycles(clk, 1);
+  EXPECT_EQ(*box.output_signal(out), kIdleFlit);
 }
 
 // A snapshot may be taken between a select and the commit that shows it.
